@@ -145,49 +145,28 @@ pub fn build_static_layout(
 }
 
 /// Builds the clique-partitioned hybrid layout the residency router
-/// dispatches over: each NVLink clique pools its members' cache budgets
-/// (`rows_per_gpu` rows per member GPU), spends `replicate_frac` of the
-/// pool replicating the globally hottest vertices into *every* clique
-/// (so the ultra-hot head is always a local hit regardless of routing),
-/// and fills the remainder with the hottest vertices the LDG
-/// partitioner (§4.1) assigned to that clique — backfilled from the
-/// global hotness ranking when the clique's partition runs short. Rows
-/// are striped round-robin across the clique's member slots, so each
-/// GPU stores an equal share and a within-clique remote row costs one
-/// NVLink read instead of a PCIe fetch.
+/// dispatches over. Each NVLink clique pools its members' cache budgets
+/// (`rows_per_gpu` rows per member GPU), replicates the globally
+/// hottest vertices into *every* clique (so the hot head is a local hit
+/// regardless of routing), and fills the remainder with the hottest
+/// vertices the LDG partitioner (§4.1) assigned to that clique —
+/// backfilled from the global hotness ranking when the clique's
+/// partition runs short. Rows are striped round-robin across the
+/// clique's member slots, so each GPU stores an equal share and a
+/// within-clique remote row costs one NVLink read instead of a PCIe
+/// fetch.
 ///
-/// Returns the layout plus the clique membership (`groups[g]` is the
-/// list of GPU ids in route group `g`) for the dispatcher.
-///
-/// # Panics
-///
-/// Panics if a GPU cannot fit its share of the pooled rows.
-pub fn build_partitioned_layout(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    hot: &[VertexId],
-    rows_per_gpu: usize,
-    replicate_frac: f64,
-) -> (CacheLayout, Vec<Vec<GpuId>>) {
-    fill_partitioned(graph, features, server, hot, rows_per_gpu, &mut |budget| {
-        (budget as f64 * replicate_frac).floor() as usize
-    })
-}
-
-/// Builds the clique-partitioned hybrid layout with the replicated head
-/// sized *adaptively* instead of by a fixed fraction: the head grows one
-/// vertex at a time while the marginal routed-coverage gain of another
-/// replica exceeds the partitioned row it displaces.
-///
-/// Replicating the `k`-th globally hottest vertex buys local hits for
-/// its touches in the `G - 1` cliques that do not own it — a gain of
-/// `w(hot[k]) * (G - 1) / G` per clique slot, since the replica costs a
-/// slot in every clique. The slot it takes would otherwise hold the
-/// coolest still-resident row, which under residency routing serves
-/// essentially all of its own touches — a loss of `w(hot[budget-1-k])`.
-/// The head stops growing at the first `k` where the gain no longer
-/// covers the loss:
+/// The replicated head is sized adaptively: it grows one vertex at a
+/// time while the marginal routed-coverage gain of another replica
+/// exceeds the partitioned row it displaces. Replicating the `k`-th
+/// globally hottest vertex buys local hits for its touches in the
+/// `G - 1` cliques that do not own it — a gain of `w(hot[k]) * (G - 1)
+/// / G` per clique slot, since the replica costs a slot in every
+/// clique. The slot it takes would otherwise hold the coolest
+/// still-resident row, which under residency routing serves essentially
+/// all of its own touches — a loss of `w(hot[budget-1-k])`. The head
+/// stops growing at the first `k` where the gain no longer covers the
+/// loss:
 ///
 /// ```text
 /// (G - 1) * w(hot[k])  <  G * w(hot[budget - 1 - k])
@@ -198,13 +177,14 @@ pub fn build_partitioned_layout(
 /// per-vertex touch count from [`warmup_hot_vertices_weighted`], indexed
 /// by vertex id.
 ///
-/// Returns the layout, the clique membership, and the replicated head
-/// size chosen for each clique (for telemetry).
+/// Returns the layout, the clique membership (`groups[g]` is the list
+/// of GPU ids in route group `g`, for the dispatcher), and the
+/// replicated head size chosen for each clique (for telemetry).
 ///
 /// # Panics
 ///
 /// Panics if a GPU cannot fit its share of the pooled rows.
-pub fn build_partitioned_layout_adaptive(
+pub fn build_partitioned_layout(
     graph: &CsrGraph,
     features: &FeatureTable,
     server: &MultiGpuServer,
@@ -212,61 +192,15 @@ pub fn build_partitioned_layout_adaptive(
     weight: &[u64],
     rows_per_gpu: usize,
 ) -> (CacheLayout, Vec<Vec<GpuId>>, Vec<usize>) {
-    let num_cliques = detect_cliques(server.nvlink()).len();
-    let mut replicated_per_clique = Vec::new();
-    let (layout, groups) =
-        fill_partitioned(graph, features, server, hot, rows_per_gpu, &mut |budget| {
-            let r = adaptive_replicated_rows(hot, weight, budget, num_cliques);
-            replicated_per_clique.push(r);
-            r
-        });
-    (layout, groups, replicated_per_clique)
-}
-
-/// The greedy head-sizing rule behind
-/// [`build_partitioned_layout_adaptive`], exposed for direct testing:
-/// returns how many of the hottest vertices to replicate into every
-/// clique given a per-clique row `budget` and `num_cliques` cliques.
-pub fn adaptive_replicated_rows(
-    hot: &[VertexId],
-    weight: &[u64],
-    budget: usize,
-    num_cliques: usize,
-) -> usize {
-    if num_cliques <= 1 {
-        return 0;
-    }
-    let b = budget.min(hot.len());
-    let (g, mut r) = (num_cliques as u64, 0usize);
-    while r < b {
-        let gain = (g - 1) * weight[hot[r] as usize];
-        let loss = g * weight[hot[b - 1 - r] as usize];
-        if gain < loss || gain == 0 {
-            break;
-        }
-        r += 1;
-    }
-    r
-}
-
-/// Shared fill behind the fixed-fraction and adaptive partitioned
-/// layouts: `replicated_for(budget)` decides the replicated head size
-/// for a clique with `budget` pooled rows.
-fn fill_partitioned(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    hot: &[VertexId],
-    rows_per_gpu: usize,
-    replicated_for: &mut dyn FnMut(usize) -> usize,
-) -> (CacheLayout, Vec<Vec<GpuId>>) {
     let groups = detect_cliques(server.nvlink());
     let part = LdgPartitioner::default().partition(graph, groups.len());
     let num_gpus = server.num_gpus();
     let mut cliques = Vec::with_capacity(groups.len());
+    let mut replicated_per_clique = Vec::with_capacity(groups.len());
     for (gi, members) in groups.iter().enumerate() {
         let budget = (rows_per_gpu * members.len()).min(hot.len());
-        let replicated = replicated_for(budget).min(budget);
+        let replicated = adaptive_replicated_rows(hot, weight, budget, groups.len());
+        replicated_per_clique.push(replicated);
         let mut taken = vec![false; graph.num_vertices()];
         let mut chosen: Vec<VertexId> = Vec::with_capacity(budget);
         for &v in &hot[..replicated] {
@@ -310,7 +244,37 @@ fn fill_partitioned(
         }
         cliques.push(cc);
     }
-    (CacheLayout::from_cliques(num_gpus, cliques), groups)
+    (
+        CacheLayout::from_cliques(num_gpus, cliques),
+        groups,
+        replicated_per_clique,
+    )
+}
+
+/// The greedy head-sizing rule behind
+/// [`build_partitioned_layout`], exposed for direct testing:
+/// returns how many of the hottest vertices to replicate into every
+/// clique given a per-clique row `budget` and `num_cliques` cliques.
+pub fn adaptive_replicated_rows(
+    hot: &[VertexId],
+    weight: &[u64],
+    budget: usize,
+    num_cliques: usize,
+) -> usize {
+    if num_cliques <= 1 {
+        return 0;
+    }
+    let b = budget.min(hot.len());
+    let (g, mut r) = (num_cliques as u64, 0usize);
+    while r < b {
+        let gain = (g - 1) * weight[hot[r] as usize];
+        let loss = g * weight[hot[b - 1 - r] as usize];
+        if gain < loss || gain == 0 {
+            break;
+        }
+        r += 1;
+    }
+    r
 }
 
 #[cfg(test)]
@@ -405,9 +369,14 @@ mod tests {
         let f = FeatureTable::zeros(64, 8);
         let server = ServerSpec::custom(4, 1 << 20, 2).build();
         let hot: Vec<VertexId> = (0..64).collect();
-        let (layout, groups) = build_partitioned_layout(&g, &f, &server, &hot, 8, 0.5);
+        // Four hot vertices, the rest tepid: the head earns exactly
+        // four replicas per clique.
+        let weight: Vec<u64> = (0..64).map(|v| if v < 4 { 1_000 } else { 1 }).collect();
+        let (layout, groups, replicated) =
+            build_partitioned_layout(&g, &f, &server, &hot, &weight, 8);
         assert_eq!(groups, vec![vec![0, 1], vec![2, 3]]);
-        // Budget per clique: 8 rows/GPU x 2 GPUs = 16, half replicated.
+        assert_eq!(replicated, vec![4, 4]);
+        // Budget per clique: 8 rows/GPU x 2 GPUs = 16.
         let caches: Vec<_> = [0, 2]
             .iter()
             .map(|&gpu| layout.for_gpu(gpu).expect("gpu has a cache").0)
@@ -415,7 +384,7 @@ mod tests {
         for cache in &caches {
             let resident = cache.feature_vertices();
             assert_eq!(resident.len(), 16);
-            for v in 0..8u32 {
+            for v in 0..4u32 {
                 assert!(resident.contains(&v), "head vertex {v} must replicate");
             }
         }
@@ -461,7 +430,7 @@ mod tests {
         let mut weight = vec![1u64; 64];
         weight[0] = 1_000;
         let (layout, groups, replicated) =
-            build_partitioned_layout_adaptive(&g, &f, &server, &hot, &weight, 8);
+            build_partitioned_layout(&g, &f, &server, &hot, &weight, 8);
         assert_eq!(groups.len(), 2);
         assert_eq!(replicated, vec![1, 1]);
         for &gpu in &[0usize, 2] {
@@ -472,21 +441,9 @@ mod tests {
             );
         }
         // Beyond the one-vertex head the cliques hold disjoint
-        // partitions, like the fixed-fraction layout's tail.
+        // partitions of the tail.
         let a = layout.for_gpu(0).unwrap().0.feature_vertices();
         let b = layout.for_gpu(2).unwrap().0.feature_vertices();
         assert_ne!(a, b, "tails must stay partitioned");
-    }
-
-    #[test]
-    fn full_replication_makes_cliques_identical() {
-        let g = two_communities();
-        let f = FeatureTable::zeros(64, 8);
-        let server = ServerSpec::custom(4, 1 << 20, 2).build();
-        let hot: Vec<VertexId> = (0..64).collect();
-        let (layout, _) = build_partitioned_layout(&g, &f, &server, &hot, 8, 1.0);
-        let a = layout.for_gpu(0).unwrap().0.feature_vertices();
-        let b = layout.for_gpu(2).unwrap().0.feature_vertices();
-        assert_eq!(a, b, "replicate_frac 1.0 means one shared hot set");
     }
 }

@@ -71,10 +71,9 @@ use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::batcher::BatchPolicy;
 use crate::cache_policy::{
-    build_partitioned_layout, build_partitioned_layout_adaptive, build_static_layout,
-    warmup_hot_vertices_weighted, PolicyKind,
+    build_partitioned_layout, build_static_layout, warmup_hot_vertices_weighted, PolicyKind,
 };
-use crate::replan::{plan_layout, profile_warmup, ReplanState, SwapDelta, WarmupProfile};
+use crate::replan::{plan_layout, profile_warmup, ReplanState, WarmupProfile};
 use crate::shard;
 use crate::slo::{latency_buckets, SloBatch, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
@@ -128,20 +127,35 @@ pub struct ServeReport {
     /// best clique was saturated.
     pub spilled: u64,
     /// Mean fraction of each routed request's probe (target + leading
-    /// neighbors) resident in the clique it was sent to; `1.0` when the
-    /// router is off.
+    /// neighbors) resident in the clique it was sent to; `0.0` when the
+    /// router is off, since nothing is probed.
     pub route_locality: f64,
     /// Full telemetry snapshot of the run.
     pub metrics: Snapshot,
 }
 
-/// Pre-resolved handles for the FIFO policy's manual feature metering;
-/// uses the same counter names as [`AccessEngine`], so snapshots are
-/// comparable across policies.
-pub(crate) struct FifoMeters {
+/// One GPU's feature-extraction counters, under the same names
+/// [`AccessEngine`] meters, so snapshots are comparable across
+/// policies. The FIFO policy meters through them by hand; every policy
+/// reads them for the batch's hit/miss deltas.
+struct FeatureMeters {
     hits: Counter,
     misses: Counter,
     rows: Counter,
+}
+
+impl FeatureMeters {
+    fn new(registry: &Registry, gpu: GpuId) -> Self {
+        Self {
+            hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
+            misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
+            rows: registry.counter(&format!("extract.gpu{gpu}.rows")),
+        }
+    }
+
+    fn totals(&self) -> (u64, u64) {
+        (self.hits.get(), self.misses.get())
+    }
 }
 
 /// Global meters of the re-planning loop, registered only for
@@ -306,7 +320,6 @@ pub(crate) struct StoreWorker {
     lookahead: usize,
     prefetch_neighbors: usize,
     prefetch_budget: usize,
-    missed: Vec<VertexId>,
     candidates: Vec<VertexId>,
 }
 
@@ -339,20 +352,18 @@ impl StoreWorker {
             lookahead: cfg.lookahead_requests,
             prefetch_neighbors: cfg.prefetch_neighbors,
             prefetch_budget: cfg.prefetch_budget,
-            missed: Vec::new(),
             candidates: Vec::new(),
         }
     }
 
-    /// Resolves the batch's collected HBM misses (`self.missed`)
+    /// Resolves the batch's HBM misses that stayed on this server
     /// against the store at simulated time `at` and returns the
     /// extraction stall to charge, metering every outcome.
-    fn charge_batch(&mut self, at: f64) -> f64 {
-        if self.missed.is_empty() {
+    fn charge_batch(&mut self, at: f64, missed: &[VertexId]) -> f64 {
+        if missed.is_empty() {
             return 0.0;
         }
-        let out = self.store.read(at, &self.missed);
-        self.missed.clear();
+        let out = self.store.read(at, missed);
         self.meters.prefetch_hits.add(out.prefetch_hits);
         self.meters.late_stalls.add(out.late_stalls);
         self.meters.cold_reads.add(out.cold_reads);
@@ -622,27 +633,10 @@ impl RemoteWorker {
 struct PhaseMeter {
     registry: Arc<Registry>,
     drift_period: u64,
-    hits: Counter,
-    misses: Counter,
 }
 
 impl PhaseMeter {
-    fn new(registry: &Arc<Registry>, drift_period: usize, gpu: GpuId) -> Self {
-        Self {
-            registry: Arc::clone(registry),
-            drift_period: drift_period as u64,
-            hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
-            misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
-        }
-    }
-
-    fn totals(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
-    fn record(&self, first_id: u64, hits_before: u64, misses_before: u64) {
-        let dh = self.hits.get() - hits_before;
-        let dm = self.misses.get() - misses_before;
+    fn record(&self, first_id: u64, dh: u64, dm: u64) {
         let phase = first_id / self.drift_period;
         self.registry
             .counter(&format!("serve.phase{phase:03}.feature_hits"))
@@ -677,13 +671,15 @@ fn batch_seeds(batch: &[Request], seeds: &mut Vec<VertexId>) {
 
 /// Per-GPU scratch reused across every micro-batch of the event loop:
 /// the deduplicated seed list, the sampler's arena, the feature gather
-/// buffer, and the batch-local meter totals. Steady-state batches
-/// therefore run without per-vertex heap allocation or atomic RMWs.
+/// buffer, the batch-local meter totals, and the HBM misses handed to
+/// the miss cascade. Steady-state batches therefore run without
+/// per-vertex heap allocation or atomic RMWs.
 struct BatchScratch {
     seeds: Vec<VertexId>,
     sample: SampleScratch,
     features: Vec<f32>,
     totals: BatchTotals,
+    missed: Vec<VertexId>,
 }
 
 impl BatchScratch {
@@ -693,42 +689,104 @@ impl BatchScratch {
             sample: SampleScratch::new(),
             features: Vec::new(),
             totals: BatchTotals::new(num_gpus),
+            missed: Vec::new(),
         }
     }
 }
 
 /// Replan-only per-worker state: the sliding-window estimator plus the
-/// plan double-buffer, and this GPU's swap/hit meters.
-pub(crate) struct ReplanWorker {
-    pub(crate) state: ReplanState,
+/// plan double-buffer, and this GPU's swap meters.
+struct ReplanWorker {
+    state: ReplanState,
     gpu_replans: Counter,
     gpu_swap_bytes: Counter,
     window_gauge: Gauge,
-    feat_hits: Counter,
-    feat_misses: Counter,
 }
 
-/// Cache-policy-specific batch machinery of one worker.
-pub(crate) enum WorkerPolicy {
-    /// StaticHot and Fifo: a fixed layout (possibly empty) plus the
-    /// manual FIFO cache and its meters.
-    Flat { fifo: FifoCache, meters: FifoMeters },
-    /// Replan: the per-GPU re-planning loop.
-    Replan(Box<ReplanWorker>),
-}
+impl ReplanWorker {
+    /// Batch-boundary commit of a staged plan: in-flight requests
+    /// finished against the old plan, and the batch about to run starts
+    /// on the new one and pays its refill. The entries the new plan
+    /// holds that the old one did not are refilled from CPU memory (PCM
+    /// transactions + traffic-matrix bytes), the GPU's memory budget
+    /// moves to the new footprint, and under an active store the rows
+    /// entering HBM come up off the SSD while rows that left fall back
+    /// to their placement-time tier. Returns the swap time.
+    fn commit(
+        &mut self,
+        ctx: &ServeContext<'_>,
+        gpu: GpuId,
+        at: f64,
+        store: Option<&mut StoreWorker>,
+    ) -> f64 {
+        let old_feat = (store.is_some() && self.state.plan.has_staged())
+            .then(|| self.state.plan.active().contents.feat.clone());
+        let Some(delta) = self.state.commit() else {
+            return 0.0;
+        };
+        let (_, meters) = ctx.replan_shared.as_ref().expect("replan meters");
+        let server = ctx.server;
+        self.gpu_replans.inc();
+        meters.count.inc();
+        let row_bytes = ctx.row_bytes;
+        let feat_tx =
+            delta.new_feat.len() as u64 * server.pcie().transactions_for_payload(row_bytes);
+        let mut bytes = delta.new_feat.len() as u64 * row_bytes;
+        let mut topo_tx = 0u64;
+        for &v in &delta.new_topo {
+            let b = topology_bytes_for_degree(ctx.graph.degree(v));
+            bytes += b;
+            topo_tx += server.pcie().transactions_for_payload(b);
+        }
+        server.pcm().add(gpu, TrafficKind::Feature, feat_tx);
+        server.pcm().add(gpu, TrafficKind::Topology, topo_tx);
+        server.traffic().add(gpu, Source::Cpu, bytes);
+        server
+            .free(gpu, delta.old_bytes)
+            .expect("retired plan freed");
+        server
+            .alloc(gpu, delta.new_bytes)
+            .expect("replanned cache exceeds GPU memory");
+        meters.swap_bytes.add(bytes);
+        self.gpu_swap_bytes.add(bytes);
+        let mut swap_s = ctx.time_model.extract_seconds(feat_tx + topo_tx, 0);
+        if let (Some(sw), Some(old)) = (store, old_feat) {
+            swap_s += sw.migrate_commit(
+                at,
+                &old,
+                &self.state.plan.active().contents.feat,
+                &delta.new_feat,
+            );
+        }
+        swap_s
+    }
 
-impl WorkerPolicy {
-    /// The active plan's `(version, resident feature set)` if this is a
-    /// replan worker — what the residency index needs after a commit.
-    pub(crate) fn plan_residency(&self) -> Option<(u64, &[VertexId])> {
-        match self {
-            WorkerPolicy::Replan(rw) => Some((
-                rw.state.plan.version(),
-                rw.state.plan.active().contents.feat.as_slice(),
-            )),
-            WorkerPolicy::Flat { .. } => None,
+    /// After the batch: rolls the window (possibly staging the next
+    /// plan) and audits plan atomicity — the active plan's version must
+    /// still be `version`, the one the batch ran against, because `roll`
+    /// only *stages* and no other thread touches this worker's buffer.
+    fn roll(&mut self, ctx: &ServeContext<'_>, at: f64, version: u64) {
+        let (_, meters) = ctx.replan_shared.as_ref().expect("replan meters");
+        if let Some(outcome) = self.state.roll(at, ctx.graph, ctx.features) {
+            self.window_gauge.set(outcome.window_hit_rate);
+            if let Some(dt) = outcome.recovered_after {
+                meters.recover.observe((dt * 1e6).round() as u64);
+            }
+        }
+        if self.state.plan.version() != version {
+            meters.mid_batch.inc();
         }
     }
+}
+
+/// Cache-policy-specific state of one worker.
+enum WorkerPolicy {
+    /// StaticHot: the fixed layout in [`ServeContext`] serves every row.
+    Static,
+    /// Fifo: the per-GPU admission-on-miss cache.
+    Fifo(FifoCache),
+    /// Replan: the per-GPU re-planning loop.
+    Replan(Box<ReplanWorker>),
 }
 
 /// One GPU of the event loop: its admission queue, busy horizon, RNG
@@ -742,6 +800,7 @@ pub(crate) struct Worker {
     pub(crate) makespan: f64,
     rng: StdRng,
     scratch: BatchScratch,
+    feature: FeatureMeters,
     batches: Counter,
     busy: Counter,
     pub(crate) gpu_shed: Counter,
@@ -750,7 +809,7 @@ pub(crate) struct Worker {
     stages: StageRecorder,
     slo_batch: SloBatch,
     class_batches: Option<Vec<SloBatch>>,
-    pub(crate) policy: WorkerPolicy,
+    policy: WorkerPolicy,
     /// Out-of-core store state; `None` unless the run's tiered
     /// placement put rows on the SSD.
     pub(crate) store: Option<Box<StoreWorker>>,
@@ -758,7 +817,160 @@ pub(crate) struct Worker {
     pub(crate) remote: Option<Box<RemoteWorker>>,
     /// Plan version last pushed into the router's residency index
     /// (Replan + Residency runs only).
-    pub(crate) last_plan_version: u64,
+    last_plan_version: u64,
+}
+
+impl Worker {
+    /// The active plan's resident feature set if a commit changed it
+    /// since the last call — what the router's residency index must be
+    /// refreshed with after a batch. `None` for non-replan workers.
+    pub(crate) fn take_plan_update(&mut self) -> Option<&[VertexId]> {
+        let WorkerPolicy::Replan(rw) = &self.policy else {
+            return None;
+        };
+        let version = rw.state.plan.version();
+        if version == self.last_plan_version {
+            return None;
+        }
+        self.last_plan_version = version;
+        Some(&rw.state.plan.active().contents.feat)
+    }
+
+    /// Runs one micro-batch through the operator sequence every policy
+    /// shares: seed dedupe → sample → extract → miss cascade → infer.
+    /// Policies differ only in where feature rows come from — the
+    /// layout's [`AccessEngine`] (StaticHot, and Replan's active plan)
+    /// or the FIFO cache — and in Replan feeding its window estimator.
+    /// The returned timing carries no swap; the caller adds Replan's.
+    fn run_operators(&mut self, ctx: &ServeContext<'_>, batch: &[Request], at: f64) -> BatchTiming {
+        let Worker {
+            gpu,
+            rng,
+            scratch,
+            feature,
+            policy,
+            store,
+            remote,
+            ..
+        } = self;
+        let (gpu, server) = (*gpu, ctx.server);
+        let plan_engine;
+        let (engine, fifo, mut window) = match policy {
+            WorkerPolicy::Static => (&ctx.engine, None, None),
+            WorkerPolicy::Fifo(fifo) => (&ctx.engine, Some(fifo), None),
+            WorkerPolicy::Replan(rw) => {
+                let ReplanState { plan, window, .. } = &mut rw.state;
+                plan_engine = AccessEngine::new(
+                    ctx.graph,
+                    ctx.features,
+                    plan.active_layout(),
+                    server,
+                    TopologyPlacement::CpuUva,
+                )
+                .with_overlay(ctx.engine.overlay());
+                (&plan_engine, None, Some(window))
+            }
+        };
+
+        batch_seeds(batch, &mut scratch.seeds);
+        let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
+        let mut on_edge = window.as_deref_mut().map(|w| move |v| w.note_edge(v));
+        let sample = ctx.sampler.sample_batch_with(
+            engine,
+            gpu,
+            &scratch.seeds,
+            rng,
+            on_edge.as_mut().map(|f| f as &mut dyn FnMut(VertexId)),
+            &mut scratch.sample,
+        );
+        if let Some(w) = window.as_deref_mut() {
+            for &v in &sample.all_vertices {
+                w.note_feature(v);
+            }
+        }
+        let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
+        let sample_s = ctx
+            .time_model
+            .sample_seconds(topo_tx, sample.total_edges() as u64);
+
+        let feat_before = server.pcm().gpu_kind(gpu, TrafficKind::Feature);
+        let peer_before = peer_bytes_read(server, gpu);
+        let (h0, m0) = feature.totals();
+        scratch.missed.clear();
+        match fifo {
+            // Dynamic cache: the resident set mutates per access, so the
+            // extraction is metered here with the engine's counter names
+            // and per-row transaction charge. Replacement bookkeeping
+            // itself is not charged to time (an intentional
+            // simplification; see DESIGN.md).
+            Some(fifo) => {
+                let rows = &sample.all_vertices;
+                scratch
+                    .missed
+                    .extend(rows.iter().copied().filter(|&v| !fifo.access(v)));
+                let misses = scratch.missed.len() as u64;
+                let row_tx = server.pcie().transactions_for_payload(ctx.row_bytes);
+                feature.rows.add(rows.len() as u64);
+                feature.hits.add(rows.len() as u64 - misses);
+                feature.misses.add(misses);
+                server.pcm().add(gpu, TrafficKind::Feature, misses * row_tx);
+                server
+                    .traffic()
+                    .add(gpu, Source::Cpu, misses * ctx.row_bytes);
+            }
+            None => {
+                engine.read_features_batch(
+                    gpu,
+                    &sample.all_vertices,
+                    &mut scratch.features,
+                    &mut scratch.totals,
+                );
+                if store.is_some() || remote.is_some() {
+                    scratch.missed.extend(
+                        sample
+                            .all_vertices
+                            .iter()
+                            .copied()
+                            .filter(|&v| !engine.feature_would_hit(gpu, v)),
+                    );
+                }
+            }
+        }
+        let feat_tx = server.pcm().gpu_kind(gpu, TrafficKind::Feature) - feat_before;
+        let peer = peer_bytes_read(server, gpu) - peer_before;
+        let mut extract_s = ctx.time_model.extract_seconds(feat_tx, peer);
+        // Miss cascade, one tier at a time: rows another server owns
+        // leave as one batched remote wave and the local tiers never see
+        // them; the rest resolve against the SSD store's staging window
+        // or device. Each stall extends extraction just like a slower
+        // PCIe crossing would.
+        if let Some(rw) = remote.as_deref_mut() {
+            scratch.missed.retain(|&v| !rw.note_miss(v));
+            extract_s += rw.charge_batch();
+        }
+        if let Some(sw) = store.as_deref_mut() {
+            extract_s += sw.charge_batch(at, &scratch.missed);
+        }
+        if let Some(w) = window {
+            let (h1, m1) = feature.totals();
+            w.note_batch(batch.len(), h1 - h0, m1 - m0, topo_tx);
+        }
+        BatchTiming {
+            sample_s,
+            extract_s,
+            infer_s: ctx
+                .time_model
+                .train_seconds(ctx.model.inference_flops(&sample)),
+            swap_s: 0.0,
+        }
+    }
+}
+
+/// NVLink bytes `gpu` has read from its peers so far.
+fn peer_bytes_read(server: &MultiGpuServer, gpu: GpuId) -> u64 {
+    (0..server.num_gpus())
+        .map(|s| server.traffic().gpu_to_gpu(s, gpu))
+        .sum()
 }
 
 /// Residency-routing state of one run: the dispatcher plus per-clique
@@ -863,185 +1075,6 @@ impl BatchTiming {
     }
 }
 
-/// Charges a committed plan swap: the entries the new plan holds that
-/// the old one did not are refilled from CPU memory (PCM transactions +
-/// traffic-matrix bytes), the GPU's memory budget is moved to the new
-/// footprint, and the PCIe transfer time is returned so the committing
-/// batch pays for it.
-#[allow(clippy::too_many_arguments)]
-fn charge_swap(
-    server: &MultiGpuServer,
-    graph: &CsrGraph,
-    time_model: &TimeModel,
-    gpu: GpuId,
-    row_bytes: u64,
-    delta: &SwapDelta,
-    swap_bytes_total: &Counter,
-    gpu_swap_bytes: &Counter,
-) -> f64 {
-    let feat_tx = delta.new_feat.len() as u64 * server.pcie().transactions_for_payload(row_bytes);
-    let mut bytes = delta.new_feat.len() as u64 * row_bytes;
-    let mut topo_tx = 0u64;
-    for &v in &delta.new_topo {
-        let b = topology_bytes_for_degree(graph.degree(v));
-        bytes += b;
-        topo_tx += server.pcie().transactions_for_payload(b);
-    }
-    server.pcm().add(gpu, TrafficKind::Feature, feat_tx);
-    server.pcm().add(gpu, TrafficKind::Topology, topo_tx);
-    server.traffic().add(gpu, Source::Cpu, bytes);
-    server
-        .free(gpu, delta.old_bytes)
-        .expect("retired plan freed");
-    server
-        .alloc(gpu, delta.new_bytes)
-        .expect("replanned cache exceeds GPU memory");
-    swap_bytes_total.add(bytes);
-    gpu_swap_bytes.add(bytes);
-    time_model.extract_seconds(feat_tx + topo_tx, 0)
-}
-
-/// Runs one replan-policy micro-batch: commit any staged plan (paying
-/// the swap), sample and extract against the active plan's layout while
-/// feeding the window estimator, roll the window (possibly staging the
-/// next plan), and return the batch's service time.
-#[allow(clippy::too_many_arguments)]
-fn replan_batch_service(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    time_model: &TimeModel,
-    sampler: &KHopSampler,
-    model: &GnnModel,
-    replan_meters: &ReplanMeters,
-    row_bytes: u64,
-    gpu: GpuId,
-    rw: &mut ReplanWorker,
-    batch: &[Request],
-    at: f64,
-    rng: &mut StdRng,
-    scratch: &mut BatchScratch,
-    mut store: Option<&mut StoreWorker>,
-    mut remote: Option<&mut RemoteWorker>,
-    overlay: Option<&DeltaOverlay>,
-) -> BatchTiming {
-    // Batch-boundary swap: in-flight requests finished against the old
-    // plan; this batch starts on the new one and pays its refill.
-    let mut swap_t = 0.0f64;
-    let old_feat = (store.is_some() && rw.state.plan.has_staged())
-        .then(|| rw.state.plan.active().contents.feat.clone());
-    if let Some(delta) = rw.state.commit() {
-        rw.gpu_replans.inc();
-        replan_meters.count.inc();
-        swap_t = charge_swap(
-            server,
-            graph,
-            time_model,
-            gpu,
-            row_bytes,
-            &delta,
-            &replan_meters.swap_bytes,
-            &rw.gpu_swap_bytes,
-        );
-        // Rows the new plan pulls into HBM come up off the SSD; rows
-        // that left it fall back to their placement-time tier. Swap
-        // bytes are charged to the NVMe model and the committing batch
-        // pays the device time.
-        if let (Some(sw), Some(old)) = (store.as_deref_mut(), old_feat) {
-            swap_t += sw.migrate_commit(
-                at,
-                &old,
-                &rw.state.plan.active().contents.feat,
-                &delta.new_feat,
-            );
-        }
-    }
-    // Plan-commit visibility audit: from here to the end of the batch
-    // the version must not move — `roll` below only *stages* the next
-    // plan, and no other thread ever touches this worker's buffer.
-    let version_in_batch = rw.state.plan.version();
-    let plan_engine = AccessEngine::new(
-        graph,
-        features,
-        rw.state.plan.active_layout(),
-        server,
-        TopologyPlacement::CpuUva,
-    )
-    .with_overlay(overlay);
-    batch_seeds(batch, &mut scratch.seeds);
-    let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-    let window = &mut rw.state.window;
-    let mut on_edge = |v: VertexId| window.note_edge(v);
-    let sample = sampler.sample_batch_with(
-        &plan_engine,
-        gpu,
-        &scratch.seeds,
-        rng,
-        Some(&mut on_edge),
-        &mut scratch.sample,
-    );
-    for &v in &sample.all_vertices {
-        window.note_feature(v);
-    }
-    let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
-    let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-    let feat_tx_before = server.pcm().gpu_kind(gpu, TrafficKind::Feature);
-    let (h0, m0) = (rw.feat_hits.get(), rw.feat_misses.get());
-    plan_engine.read_features_batch(
-        gpu,
-        &sample.all_vertices,
-        &mut scratch.features,
-        &mut scratch.totals,
-    );
-    let feat_tx = server.pcm().gpu_kind(gpu, TrafficKind::Feature) - feat_tx_before;
-    let mut extract_t = time_model.extract_seconds(feat_tx, 0);
-    if store.is_some() || remote.is_some() {
-        if let Some(sw) = store.as_deref_mut() {
-            sw.missed.clear();
-        }
-        for &v in &sample.all_vertices {
-            if plan_engine.feature_would_hit(gpu, v) {
-                continue;
-            }
-            if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-                continue;
-            }
-            if let Some(sw) = store.as_deref_mut() {
-                sw.missed.push(v);
-            }
-        }
-        if let Some(rw) = remote {
-            extract_t += rw.charge_batch();
-        }
-        if let Some(sw) = store {
-            extract_t += sw.charge_batch(at);
-        }
-    }
-    rw.state.window.note_batch(
-        batch.len(),
-        rw.feat_hits.get() - h0,
-        rw.feat_misses.get() - m0,
-        topo_tx,
-    );
-    drop(plan_engine);
-    if let Some(outcome) = rw.state.roll(at, graph, features) {
-        rw.window_gauge.set(outcome.window_hit_rate);
-        if let Some(dt) = outcome.recovered_after {
-            replan_meters.recover.observe((dt * 1e6).round() as u64);
-        }
-    }
-    if rw.state.plan.version() != version_in_batch {
-        replan_meters.mid_batch.inc();
-    }
-    let infer_t = time_model.train_seconds(model.inference_flops(&sample));
-    BatchTiming {
-        sample_s: sample_t,
-        extract_s: extract_t,
-        infer_s: infer_t,
-        swap_s: swap_t,
-    }
-}
-
 /// Everything the batch path reads but never mutates: the dataset, the
 /// metered server, the run config, and the shared trackers whose
 /// interior mutability is limited to commuting integer atomics. One
@@ -1102,56 +1135,33 @@ pub(crate) fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) 
     if let Some(sw) = w.store.as_deref_mut() {
         sw.meters.inflight.observe(sw.store.inflight(at) as u64);
     }
-    let before = w.phase.as_ref().map(|p| p.totals());
-    let timing = match &mut w.policy {
-        WorkerPolicy::Flat { fifo, meters } => batch_service_seconds(
-            &ctx.engine,
-            ctx.server,
-            &ctx.time_model,
-            &ctx.sampler,
-            &ctx.model,
-            ctx.config.policy,
-            fifo,
-            meters,
-            w.gpu,
-            &batch,
-            at,
-            &mut w.rng,
-            &mut w.scratch,
-            w.store.as_deref_mut(),
-            w.remote.as_deref_mut(),
+    let (h0, m0) = w.feature.totals();
+    // Replan commits a staged plan at the top of the batch, runs the
+    // batch against it, and rolls its window after; the plan version
+    // the batch ran against is the atomicity audit's reference.
+    let (swap_s, version) = match &mut w.policy {
+        WorkerPolicy::Replan(rw) => (
+            rw.commit(ctx, w.gpu, at, w.store.as_deref_mut()),
+            rw.state.plan.version(),
         ),
-        WorkerPolicy::Replan(rw) => {
-            let (_, replan_meters) = ctx.replan_shared.as_ref().expect("replan meters");
-            replan_batch_service(
-                ctx.graph,
-                ctx.features,
-                ctx.server,
-                &ctx.time_model,
-                &ctx.sampler,
-                &ctx.model,
-                replan_meters,
-                ctx.row_bytes,
-                w.gpu,
-                rw,
-                &batch,
-                at,
-                &mut w.rng,
-                &mut w.scratch,
-                w.store.as_deref_mut(),
-                w.remote.as_deref_mut(),
-                ctx.engine.overlay(),
-            )
-        }
+        _ => (0.0, 0),
     };
+    let timing = BatchTiming {
+        swap_s,
+        ..w.run_operators(ctx, &batch, at)
+    };
+    if let WorkerPolicy::Replan(rw) = &mut w.policy {
+        rw.roll(ctx, at, version);
+    }
     // Lookahead prefetch: the requests still queued behind the batch
     // just drained are exactly what the next few batches will ask for —
     // stage their SSD rows now so those launches find warm staging.
     if let Some(sw) = w.store.as_deref_mut() {
         sw.prefetch_lookahead(ctx.graph, &w.queue, at);
     }
-    if let (Some(p), Some((h0, m0))) = (w.phase.as_ref(), before) {
-        p.record(batch[0].id, h0, m0);
+    if let Some(p) = w.phase.as_ref() {
+        let (h1, m1) = w.feature.totals();
+        p.record(batch[0].id, h1 - h0, m1 - m0);
     }
     let service = timing.service();
     w.stages
@@ -1262,7 +1272,7 @@ impl<'a> MutationDriver<'a> {
                     .cliques
                     .iter()
                     .any(|c| c.has_topology(v)),
-                WorkerPolicy::Flat { .. } => false,
+                _ => false,
             });
         if cached {
             self.invalidate_topo.inc();
@@ -1355,18 +1365,9 @@ fn run_sequential(
                 // A committed plan changed this GPU's resident set:
                 // rebuild its residency group from the active plan.
                 if let Some(rs) = router.as_mut() {
-                    let Worker {
-                        gpu,
-                        policy,
-                        last_plan_version,
-                        ..
-                    } = &mut workers[wi];
-                    if let Some((version, feat)) = policy.plan_residency() {
-                        if version != *last_plan_version {
-                            *last_plan_version = version;
-                            let g = rs.dispatcher.group_of(*gpu);
-                            rs.dispatcher.refresh_group(g, feat);
-                        }
+                    let g = rs.dispatcher.group_of(workers[wi].gpu);
+                    if let Some(feat) = workers[wi].take_plan_update() {
+                        rs.dispatcher.refresh_group(g, feat);
                     }
                 }
             }
@@ -1469,31 +1470,18 @@ pub fn serve_requests(
                 config.seed,
             );
             if residency {
-                // The replicated head is sized adaptively from measured
-                // warmup hotness by default; `adaptive_replication:
-                // false` restores the fixed `replicate_frac` split.
-                let (layout, groups) = if config.router.adaptive_replication {
-                    let (layout, groups, replicated) = build_partitioned_layout_adaptive(
-                        graph,
-                        features,
-                        server,
-                        &hot,
-                        &weight,
-                        config.cache_rows_per_gpu,
-                    );
-                    let meter = server.telemetry().counter("serve.route.replicated_rows");
-                    meter.add(replicated.iter().map(|&r| r as u64).sum());
-                    (layout, groups)
-                } else {
-                    build_partitioned_layout(
-                        graph,
-                        features,
-                        server,
-                        &hot,
-                        config.cache_rows_per_gpu,
-                        config.router.replicate_frac,
-                    )
-                };
+                // The replicated head is sized from measured warmup
+                // hotness.
+                let (layout, groups, replicated) = build_partitioned_layout(
+                    graph,
+                    features,
+                    server,
+                    &hot,
+                    &weight,
+                    config.cache_rows_per_gpu,
+                );
+                let meter = server.telemetry().counter("serve.route.replicated_rows");
+                meter.add(replicated.iter().map(|&r| r as u64).sum());
                 static_groups = Some(groups);
                 layout
             } else {
@@ -1605,14 +1593,8 @@ pub fn serve_requests(
                 ClassedQueue::new_fifo(config.queue_capacity)
             };
             let policy = match config.policy {
-                PolicyKind::StaticHot | PolicyKind::Fifo => WorkerPolicy::Flat {
-                    fifo: FifoCache::new(config.cache_rows_per_gpu),
-                    meters: FifoMeters {
-                        hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
-                        misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
-                        rows: registry.counter(&format!("extract.gpu{gpu}.rows")),
-                    },
-                },
+                PolicyKind::StaticHot => WorkerPolicy::Static,
+                PolicyKind::Fifo => WorkerPolicy::Fifo(FifoCache::new(config.cache_rows_per_gpu)),
                 PolicyKind::Replan => {
                     let (profile, _) = ctx.replan_shared.as_ref().expect("replan profile");
                     let cls = server.pcie().cls();
@@ -1646,8 +1628,6 @@ pub fn serve_requests(
                         gpu_swap_bytes: registry
                             .counter(&format!("serve.gpu{gpu}.replan.swap_bytes")),
                         window_gauge: registry.gauge(&format!("serve.gpu{gpu}.window_hit_rate")),
-                        feat_hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
-                        feat_misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
                     }))
                 }
             };
@@ -1658,11 +1638,14 @@ pub fn serve_requests(
                 makespan: 0.0,
                 rng: StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7)),
                 scratch: BatchScratch::new(num_gpus),
+                feature: FeatureMeters::new(registry, gpu),
                 batches: registry.counter(&format!("serve.gpu{gpu}.batches")),
                 busy: registry.counter(&format!("serve.gpu{gpu}.busy_ns")),
                 gpu_shed: registry.counter(&format!("serve.gpu{gpu}.shed")),
-                phase: (config.drift_period > 0)
-                    .then(|| PhaseMeter::new(registry, config.drift_period, gpu)),
+                phase: (config.drift_period > 0).then(|| PhaseMeter {
+                    registry: Arc::clone(registry),
+                    drift_period: config.drift_period as u64,
+                }),
                 depth: QueueDepthMeter::for_gpu(registry, gpu),
                 stages: StageRecorder::for_gpu(registry, gpu),
                 slo_batch: ctx.slo.batch(),
@@ -1678,7 +1661,8 @@ pub fn serve_requests(
                     .remote
                     .as_ref()
                     .map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
-                last_plan_version: 0,
+                // No plan has been pushed to a residency index yet.
+                last_plan_version: u64::MAX,
             }
         })
         .collect();
@@ -1720,10 +1704,9 @@ pub fn serve_requests(
             }
             PolicyKind::Replan => {
                 for w in &mut workers {
-                    if let WorkerPolicy::Replan(rw) = &w.policy {
-                        let g = dispatcher.group_of(w.gpu);
-                        dispatcher.refresh_group(g, &rw.state.plan.active().contents.feat);
-                        w.last_plan_version = rw.state.plan.version();
+                    let g = dispatcher.group_of(w.gpu);
+                    if let Some(feat) = w.take_plan_update() {
+                        dispatcher.refresh_group(g, feat);
                     }
                 }
             }
@@ -1852,135 +1835,6 @@ pub fn serve_requests(
     }
 }
 
-/// Runs one micro-batch through the real operators and returns its
-/// stage timing; service time is `max(sample, extract) + infer` (§5
-/// intra-batch overlap; batches on one GPU are serial).
-#[allow(clippy::too_many_arguments)]
-fn batch_service_seconds(
-    engine: &AccessEngine<'_>,
-    server: &MultiGpuServer,
-    time_model: &TimeModel,
-    sampler: &KHopSampler,
-    model: &GnnModel,
-    policy: PolicyKind,
-    fifo: &mut FifoCache,
-    meters: &FifoMeters,
-    gpu: GpuId,
-    batch: &[Request],
-    at: f64,
-    rng: &mut StdRng,
-    scratch: &mut BatchScratch,
-    mut store: Option<&mut StoreWorker>,
-    mut remote: Option<&mut RemoteWorker>,
-) -> BatchTiming {
-    batch_seeds(batch, &mut scratch.seeds);
-
-    let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-    let sample =
-        sampler.sample_batch_with(engine, gpu, &scratch.seeds, rng, None, &mut scratch.sample);
-    let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
-    let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-
-    let (feat_tx, peer_bytes) = match policy {
-        PolicyKind::StaticHot => {
-            // The engine's layout holds the static caches; the normal
-            // extraction path meters hits, misses and NVLink traffic.
-            let tx_before = server.pcm().gpu_kind(gpu, TrafficKind::Feature);
-            let peer_before: u64 = (0..server.num_gpus())
-                .map(|s| server.traffic().gpu_to_gpu(s, gpu))
-                .sum();
-            engine.read_features_batch(
-                gpu,
-                &sample.all_vertices,
-                &mut scratch.features,
-                &mut scratch.totals,
-            );
-            let tx = server.pcm().gpu_kind(gpu, TrafficKind::Feature) - tx_before;
-            let peer: u64 = (0..server.num_gpus())
-                .map(|s| server.traffic().gpu_to_gpu(s, gpu))
-                .sum::<u64>()
-                - peer_before;
-            if store.is_some() || remote.is_some() {
-                if let Some(sw) = store.as_deref_mut() {
-                    sw.missed.clear();
-                }
-                for &v in &sample.all_vertices {
-                    if engine.feature_would_hit(gpu, v) {
-                        continue;
-                    }
-                    // Unowned rows live on another server: the remote
-                    // wave takes them and the local tiers never see them.
-                    if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-                        continue;
-                    }
-                    if let Some(sw) = store.as_deref_mut() {
-                        sw.missed.push(v);
-                    }
-                }
-            }
-            (tx, peer)
-        }
-        PolicyKind::Fifo => {
-            // Dynamic cache: the resident set mutates per access, so the
-            // extraction is metered manually with the same counter names
-            // and per-row transaction charge as the engine's path,
-            // accumulated locally and flushed with one add per counter.
-            // Replacement bookkeeping itself is not charged to time
-            // (an intentional simplification; see DESIGN.md).
-            let row_bytes = engine.features().row_bytes();
-            let row_tx = server.pcie().transactions_for_payload(row_bytes);
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let mut tx = 0u64;
-            let mut bytes = 0u64;
-            if let Some(sw) = store.as_deref_mut() {
-                sw.missed.clear();
-            }
-            for &v in &sample.all_vertices {
-                if fifo.access(v) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    tx += row_tx;
-                    bytes += row_bytes;
-                    if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-                        continue;
-                    }
-                    if let Some(sw) = store.as_deref_mut() {
-                        sw.missed.push(v);
-                    }
-                }
-            }
-            meters.rows.add(sample.all_vertices.len() as u64);
-            meters.hits.add(hits);
-            meters.misses.add(misses);
-            server.pcm().add(gpu, TrafficKind::Feature, tx);
-            server.traffic().add(gpu, Source::Cpu, bytes);
-            (tx, 0)
-        }
-        PolicyKind::Replan => unreachable!("replan batches run through replan_batch_service"),
-    };
-    let mut extract_t = time_model.extract_seconds(feat_tx, peer_bytes);
-    if let Some(rw) = remote {
-        // Cross-server rows arrive as one batched RPC wave; the stall
-        // extends extraction just like a slower PCIe crossing would.
-        extract_t += rw.charge_batch();
-    }
-    if let Some(sw) = store {
-        // SSD-tier misses resolve against the staging window or the
-        // device; the stall extends extraction, exactly like a slower
-        // PCIe crossing would.
-        extract_t += sw.charge_batch(at);
-    }
-    let infer_t = time_model.train_seconds(model.inference_flops(&sample));
-    BatchTiming {
-        sample_s: sample_t,
-        extract_s: extract_t,
-        infer_s: infer_t,
-        swap_s: 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2030,6 +1884,8 @@ mod tests {
         assert!(report.makespan_s > 0.0);
         assert!(report.throughput_rps > 0.0);
         assert!(report.p50_us <= report.p95_us && report.p95_us <= report.p99_us);
+        // Round-robin probes nothing, so locality reports zero.
+        assert_eq!(report.route_locality, 0.0);
     }
 
     #[test]

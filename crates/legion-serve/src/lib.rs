@@ -11,8 +11,6 @@
 //! * [`workload`] — Poisson / bursty arrival processes and Zipf-skewed,
 //!   drifting target-vertex sampling ([`ArrivalProcess`],
 //!   [`TargetSampler`]);
-//! * [`queue`] — bounded per-GPU admission queues that shed load
-//!   explicitly instead of queueing without bound ([`AdmissionQueue`]);
 //! * [`batcher`] — the dynamic micro-batching policy: close at
 //!   `max_batch` requests or `max_wait` simulated seconds
 //!   ([`BatchPolicy`]);
@@ -111,17 +109,16 @@
 pub mod batcher;
 pub mod cache_policy;
 pub mod engine;
-pub mod queue;
 pub mod replan;
 mod shard;
 pub mod slo;
 pub mod sweep;
 pub mod workload;
 
-pub use batcher::{BatchPolicy, PendingWindow};
+pub use batcher::BatchPolicy;
 pub use cache_policy::{
-    adaptive_replicated_rows, build_partitioned_layout, build_partitioned_layout_adaptive,
-    build_static_layout, warmup_hot_vertices, warmup_hot_vertices_weighted, PolicyKind,
+    adaptive_replicated_rows, build_partitioned_layout, build_static_layout, warmup_hot_vertices,
+    warmup_hot_vertices_weighted, PolicyKind,
 };
 pub use engine::{serve, serve_requests, ServeReport};
 pub use legion_dyn::{
@@ -130,7 +127,6 @@ pub use legion_dyn::{
 pub use legion_hw::{NetGeneration, NetModel};
 pub use legion_router::{PriorityClass, RouterConfig, RouterPolicy, CLASS_COUNT};
 pub use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
-pub use queue::AdmissionQueue;
 pub use replan::{
     plan_layout, profile_warmup, DriftDetector, PlanBuffer, ReplanConfig, ReplanState,
     WindowEstimator,

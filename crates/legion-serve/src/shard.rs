@@ -88,7 +88,7 @@ enum Down {
 /// channel arrival order cannot perturb the EWMA.
 struct Up {
     queue_lens: Vec<(GpuId, usize)>,
-    plan_updates: Vec<(GpuId, u64, Vec<VertexId>)>,
+    plan_updates: Vec<(GpuId, Vec<VertexId>)>,
     batches: u64,
     service_ns: u64,
 }
@@ -321,19 +321,8 @@ pub(crate) fn run_residency_sharded(
                             let plan_updates = ws
                                 .iter_mut()
                                 .filter_map(|w| {
-                                    let Worker {
-                                        gpu,
-                                        policy,
-                                        last_plan_version,
-                                        ..
-                                    } = w;
-                                    if let Some((version, feat)) = policy.plan_residency() {
-                                        if version != *last_plan_version {
-                                            *last_plan_version = version;
-                                            return Some((*gpu, version, feat.to_vec()));
-                                        }
-                                    }
-                                    None
+                                    let gpu = w.gpu;
+                                    w.take_plan_update().map(|feat| (gpu, feat.to_vec()))
                                 })
                                 .collect();
                             up_tx
@@ -420,7 +409,7 @@ pub(crate) fn run_residency_sharded(
             // Boundary: collect every shard's report. Updates are keyed
             // by GPU and applied in GPU order, so the nondeterministic
             // channel arrival order cannot leak into the run.
-            let mut plan_updates: Vec<(GpuId, u64, Vec<VertexId>)> = Vec::new();
+            let mut plan_updates: Vec<(GpuId, Vec<VertexId>)> = Vec::new();
             let mut q_batches = 0u64;
             let mut q_service_ns = 0u64;
             for _ in 0..eff {
@@ -441,8 +430,8 @@ pub(crate) fn run_residency_sharded(
                 service_ewma = Some(ewma);
                 quantum = (QUANTUM_BATCHES * ewma).clamp(quantum_floor, ctx.config.shard_quantum);
             }
-            plan_updates.sort_by_key(|&(gpu, _, _)| gpu);
-            for (gpu, _version, feat) in plan_updates {
+            plan_updates.sort_by_key(|&(gpu, _)| gpu);
+            for (gpu, feat) in plan_updates {
                 let g = rs.dispatcher.group_of(gpu);
                 rs.dispatcher.refresh_group(g, &feat);
             }

@@ -3,10 +3,11 @@
 //!
 //! Absolute request rates mean nothing across dataset scales and server
 //! shapes, so the sweep is anchored to a measured capacity: a closed-loop
-//! probe times a representative uncached batch, capacity is
-//! `num_gpus * max_batch / service`, and offered loads are expressed as
-//! multipliers of it. A multiplier past 1.0 is guaranteed overload, so
-//! every sweep exhibits its saturation knee regardless of scale knobs.
+//! probe times a few batches against a warmed FIFO feature cache,
+//! capacity is `num_gpus * max_batch / service`, and offered loads are
+//! expressed as multipliers of it. A multiplier past 1.0 is guaranteed
+//! overload, so every sweep exhibits its saturation knee regardless of
+//! scale knobs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,8 +74,8 @@ pub struct LoadPoint {
     pub routed: u64,
     /// Requests spilled out of their best clique under saturation.
     pub spilled: u64,
-    /// Mean probe coverage of the chosen clique; `1.0` with the router
-    /// off.
+    /// Mean probe coverage of the chosen clique; `0.0` with the router
+    /// off, since nothing is probed.
     pub route_locality: f64,
 }
 

@@ -53,6 +53,9 @@ cargo run --release -q -p legion-bench --bin servectl -- --smoke --churn
 echo "==> sharded-vs-sequential equivalence (determinism suite)"
 cargo test -q -p legion-core --test determinism
 
+echo "==> serving golden matrix (snapshot digests + capacity-probe bits)"
+cargo test -q -p legion-serve --test serve_golden
+
 echo "==> bench_compare --warn-only (fresh smoke hotpath run vs committed BENCH_hotpath.json)"
 BENCH_TMP="$(mktemp /tmp/bench_hotpath.XXXXXX.json)"
 trap 'rm -f "$BENCH_TMP"' EXIT
