@@ -459,6 +459,21 @@ mod tests {
         assert!(a > 0.0);
         assert_eq!(a, b);
         assert_eq!(server.pcm().total(), 0, "probe must reset the server");
+        let mut routed = config.clone();
+        routed.router.policy = crate::RouterPolicy::Residency;
+        assert!(estimate_capacity_rps(&g, &f, &server, &routed) > 0.0);
+        // Registry reset keeps names, so a probe that registered
+        // serving meters would leak them into every later snapshot.
+        let snap = server.telemetry().snapshot();
+        let names = snap
+            .counters
+            .iter()
+            .map(|c| &c.name)
+            .chain(snap.gauges.iter().map(|g| &g.name))
+            .chain(snap.histograms.iter().map(|h| &h.name));
+        for name in names {
+            assert!(!name.starts_with("serve."), "probe registered {name}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! sharded loop — and compares each run's snapshot digest, completion
 //! and shed counts and p99 against `tests/golden/serve_snapshots.txt`.
 //! An overloaded run of the plain and store tiers covers full batches,
-//! queueing, prefetch and shedding. The capacity probes are pinned by the exact bits of their `f64`
+//! queueing, prefetch and shedding. The capacity probes — QoS and
+//! single-class mixes, with and without the store, on the clique server
+//! and on a DGX-V100 — are pinned by the exact bits of their `f64`
 //! estimate. A refactor of the batch path that keeps behaviour keeps
 //! every line of the table.
 //!
@@ -180,6 +182,17 @@ fn serving_matrix_matches_the_golden_table() {
             let tier = if store { "store" } else { "plain" };
             lines.push(format!("probe/{tier}/{} {bits:016x}", router.as_str()));
         }
+        // The single-class default mix, beside the base config's QoS
+        // mix above.
+        let mut cfg = base_config(PolicyKind::StaticHot, router);
+        cfg.classes = ClassConfig::default();
+        let bits = estimate_capacity_rps(&d.graph, &d.features, &clique_server(), &cfg).to_bits();
+        lines.push(format!("probe/single/{} {bits:016x}", router.as_str()));
+        // The server shape whose probe sets a fleet's drain rate.
+        let cfg = base_config(PolicyKind::StaticHot, router);
+        let dgx = ServerSpec::dgx_v100().build();
+        let bits = estimate_capacity_rps(&d.graph, &d.features, &dgx, &cfg).to_bits();
+        lines.push(format!("probe/dgx_v100/{} {bits:016x}", router.as_str()));
     }
 
     let table = lines.join("\n") + "\n";
