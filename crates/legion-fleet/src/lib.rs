@@ -77,10 +77,9 @@ use legion_hw::{NetGeneration, NetModel, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
 use legion_router::Dispatcher;
 use legion_serve::{
-    adaptive_replicated_rows, estimate_capacity_rps, generate_workload_classed, latency_buckets,
-    serve_requests, warmup_hot_vertices_weighted, ClassSampler, CoalesceConfig, MutationOp,
-    MutationSource, PriorityClass, RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler,
-    WindowEstimator,
+    adaptive_replicated_rows, estimate_capacity_rps, generate_requests, latency_buckets,
+    serve_requests, warmup_hot_vertices_weighted, CoalesceConfig, MutationOp, MutationSource,
+    RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler, WindowEstimator,
 };
 use legion_telemetry::{Registry, Snapshot};
 
@@ -590,27 +589,8 @@ pub fn serve_fleet(
     let n = fleet.num_servers;
     let plan = plan_fleet(graph, base, fleet);
 
-    // The global open-loop workload — the exact stream `serve` would
-    // generate for this config.
-    let all_targets: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-    let mut target_sampler = TargetSampler::new(
-        all_targets,
-        base.zipf_exponent,
-        base.drift_period,
-        base.drift_stride,
-    );
-    if base.classes.mix[PriorityClass::Interactive.index()] > 0.0 {
-        target_sampler = target_sampler.with_interactive_boost(base.classes.interactive_boost);
-    }
-    let mut class_sampler = ClassSampler::new(base.classes.mix, base.seed);
-    let mut workload_rng = StdRng::seed_from_u64(base.seed);
-    let requests = generate_workload_classed(
-        &base.arrival,
-        &mut target_sampler,
-        &mut class_sampler,
-        base.num_requests,
-        &mut workload_rng,
-    );
+    // The global open-loop workload: the stream `serve` draws.
+    let requests = generate_requests(graph, base);
 
     // Streaming mutations under the fleet: topology is replicated on
     // every server (only features are sharded), so the global stream is

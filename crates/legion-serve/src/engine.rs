@@ -76,7 +76,7 @@ use crate::cache_policy::{
 use crate::replan::{plan_layout, profile_warmup, ReplanState, WarmupProfile};
 use crate::shard;
 use crate::slo::{latency_buckets, SloBatch, SloTracker};
-use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
+use crate::workload::{generate_requests, Request, TargetSampler};
 use crate::{ServeConfig, StoreConfig};
 
 /// Bucket bounds of the store's depth-shaped histograms
@@ -725,16 +725,17 @@ impl ReplanWorker {
             return 0.0;
         };
         let (_, meters) = ctx.replan_shared.as_ref().expect("replan meters");
-        let server = ctx.server;
+        let ops = &ctx.ops;
+        let server = ops.server;
         self.gpu_replans.inc();
         meters.count.inc();
-        let row_bytes = ctx.row_bytes;
+        let row_bytes = ops.row_bytes;
         let feat_tx =
             delta.new_feat.len() as u64 * server.pcie().transactions_for_payload(row_bytes);
         let mut bytes = delta.new_feat.len() as u64 * row_bytes;
         let mut topo_tx = 0u64;
         for &v in &delta.new_topo {
-            let b = topology_bytes_for_degree(ctx.graph.degree(v));
+            let b = topology_bytes_for_degree(ops.graph.degree(v));
             bytes += b;
             topo_tx += server.pcie().transactions_for_payload(b);
         }
@@ -749,7 +750,7 @@ impl ReplanWorker {
             .expect("replanned cache exceeds GPU memory");
         meters.swap_bytes.add(bytes);
         self.gpu_swap_bytes.add(bytes);
-        let mut swap_s = ctx.time_model.extract_seconds(feat_tx + topo_tx, 0);
+        let mut swap_s = ops.time_model.extract_seconds(feat_tx + topo_tx, 0);
         if let (Some(sw), Some(old)) = (store, old_feat) {
             swap_s += sw.migrate_commit(
                 at,
@@ -767,7 +768,7 @@ impl ReplanWorker {
     /// only *stages* and no other thread touches this worker's buffer.
     fn roll(&mut self, ctx: &ServeContext<'_>, at: f64, version: u64) {
         let (_, meters) = ctx.replan_shared.as_ref().expect("replan meters");
-        if let Some(outcome) = self.state.roll(at, ctx.graph, ctx.features) {
+        if let Some(outcome) = self.state.roll(at, ctx.ops.graph, ctx.ops.features) {
             self.window_gauge.set(outcome.window_hit_rate);
             if let Some(dt) = outcome.recovered_after {
                 meters.recover.observe((dt * 1e6).round() as u64);
@@ -789,51 +790,48 @@ enum WorkerPolicy {
     Replan(Box<ReplanWorker>),
 }
 
-/// One GPU of the event loop: its admission queue, busy horizon, RNG
-/// stream, scratch, meters, and policy state. Exactly one shard (or the
-/// sequential loop) owns a worker at any time — all of this state is
-/// single-writer by construction.
-pub(crate) struct Worker {
+/// One GPU's batch-operator state: its scratch, feature meters, cache
+/// policy, and the store and remote tiers of its miss cascade. The
+/// serving loop's [`Worker`] wraps one lane per GPU; the capacity probe
+/// runs bare FIFO lanes through the same [`Lane::run`].
+pub(crate) struct Lane {
     pub(crate) gpu: GpuId,
-    pub(crate) queue: ClassedQueue<Request>,
-    pub(crate) free_at: f64,
-    pub(crate) makespan: f64,
-    rng: StdRng,
     scratch: BatchScratch,
     feature: FeatureMeters,
-    batches: Counter,
-    busy: Counter,
-    pub(crate) gpu_shed: Counter,
-    phase: Option<PhaseMeter>,
-    depth: QueueDepthMeter,
-    stages: StageRecorder,
-    slo_batch: SloBatch,
-    class_batches: Option<Vec<SloBatch>>,
     policy: WorkerPolicy,
     /// Out-of-core store state; `None` unless the run's tiered
     /// placement put rows on the SSD.
     pub(crate) store: Option<Box<StoreWorker>>,
     /// Fleet state; `None` unless this run is one server of a fleet.
     pub(crate) remote: Option<Box<RemoteWorker>>,
-    /// Plan version last pushed into the router's residency index
-    /// (Replan + Residency runs only).
-    last_plan_version: u64,
 }
 
-impl Worker {
-    /// The active plan's resident feature set if a commit changed it
-    /// since the last call — what the router's residency index must be
-    /// refreshed with after a batch. `None` for non-replan workers.
-    pub(crate) fn take_plan_update(&mut self) -> Option<&[VertexId]> {
-        let WorkerPolicy::Replan(rw) = &self.policy else {
-            return None;
-        };
-        let version = rw.state.plan.version();
-        if version == self.last_plan_version {
-            return None;
+impl Lane {
+    fn new(gpu: GpuId, num_gpus: usize, registry: &Registry, policy: WorkerPolicy) -> Self {
+        Self {
+            gpu,
+            scratch: BatchScratch::new(num_gpus),
+            feature: FeatureMeters::new(registry, gpu),
+            policy,
+            store: None,
+            remote: None,
         }
-        self.last_plan_version = version;
-        Some(&rw.state.plan.active().contents.feat)
+    }
+
+    /// A FIFO-policy lane with no store or remote tier.
+    pub(crate) fn fifo(gpu: GpuId, num_gpus: usize, registry: &Registry, rows: usize) -> Self {
+        Self::new(
+            gpu,
+            num_gpus,
+            registry,
+            WorkerPolicy::Fifo(FifoCache::new(rows)),
+        )
+    }
+
+    /// The HBM misses of the last batch that no earlier tier of the
+    /// miss cascade resolved.
+    pub(crate) fn missed(&self) -> &[VertexId] {
+        &self.scratch.missed
     }
 
     /// Runs one micro-batch through the operator sequence every policy
@@ -841,33 +839,39 @@ impl Worker {
     /// Policies differ only in where feature rows come from — the
     /// layout's [`AccessEngine`] (StaticHot, and Replan's active plan)
     /// or the FIFO cache — and in Replan feeding its window estimator.
-    /// The returned timing carries no swap; the caller adds Replan's.
-    fn run_operators(&mut self, ctx: &ServeContext<'_>, batch: &[Request], at: f64) -> BatchTiming {
-        let Worker {
+    /// Sampling draws from `rng`, which the caller owns so several lanes
+    /// can share one stream. The returned timing carries no swap; the
+    /// caller adds Replan's.
+    pub(crate) fn run(
+        &mut self,
+        ops: &Operators<'_>,
+        rng: &mut StdRng,
+        batch: &[Request],
+        at: f64,
+    ) -> BatchTiming {
+        let Lane {
             gpu,
-            rng,
             scratch,
             feature,
             policy,
             store,
             remote,
-            ..
         } = self;
-        let (gpu, server) = (*gpu, ctx.server);
+        let (gpu, server) = (*gpu, ops.server);
         let plan_engine;
         let (engine, fifo, mut window) = match policy {
-            WorkerPolicy::Static => (&ctx.engine, None, None),
-            WorkerPolicy::Fifo(fifo) => (&ctx.engine, Some(fifo), None),
+            WorkerPolicy::Static => (&ops.engine, None, None),
+            WorkerPolicy::Fifo(fifo) => (&ops.engine, Some(fifo), None),
             WorkerPolicy::Replan(rw) => {
                 let ReplanState { plan, window, .. } = &mut rw.state;
                 plan_engine = AccessEngine::new(
-                    ctx.graph,
-                    ctx.features,
+                    ops.graph,
+                    ops.features,
                     plan.active_layout(),
                     server,
                     TopologyPlacement::CpuUva,
                 )
-                .with_overlay(ctx.engine.overlay());
+                .with_overlay(ops.engine.overlay());
                 (&plan_engine, None, Some(window))
             }
         };
@@ -875,7 +879,7 @@ impl Worker {
         batch_seeds(batch, &mut scratch.seeds);
         let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
         let mut on_edge = window.as_deref_mut().map(|w| move |v| w.note_edge(v));
-        let sample = ctx.sampler.sample_batch_with(
+        let sample = ops.sampler.sample_batch_with(
             engine,
             gpu,
             &scratch.seeds,
@@ -889,7 +893,7 @@ impl Worker {
             }
         }
         let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
-        let sample_s = ctx
+        let sample_s = ops
             .time_model
             .sample_seconds(topo_tx, sample.total_edges() as u64);
 
@@ -909,14 +913,14 @@ impl Worker {
                     .missed
                     .extend(rows.iter().copied().filter(|&v| !fifo.access(v)));
                 let misses = scratch.missed.len() as u64;
-                let row_tx = server.pcie().transactions_for_payload(ctx.row_bytes);
+                let row_tx = server.pcie().transactions_for_payload(ops.row_bytes);
                 feature.rows.add(rows.len() as u64);
                 feature.hits.add(rows.len() as u64 - misses);
                 feature.misses.add(misses);
                 server.pcm().add(gpu, TrafficKind::Feature, misses * row_tx);
                 server
                     .traffic()
-                    .add(gpu, Source::Cpu, misses * ctx.row_bytes);
+                    .add(gpu, Source::Cpu, misses * ops.row_bytes);
             }
             None => {
                 engine.read_features_batch(
@@ -938,7 +942,7 @@ impl Worker {
         }
         let feat_tx = server.pcm().gpu_kind(gpu, TrafficKind::Feature) - feat_before;
         let peer = peer_bytes_read(server, gpu) - peer_before;
-        let mut extract_s = ctx.time_model.extract_seconds(feat_tx, peer);
+        let mut extract_s = ops.time_model.extract_seconds(feat_tx, peer);
         // Miss cascade, one tier at a time: rows another server owns
         // leave as one batched remote wave and the local tiers never see
         // them; the rest resolve against the SSD store's staging window
@@ -958,11 +962,55 @@ impl Worker {
         BatchTiming {
             sample_s,
             extract_s,
-            infer_s: ctx
+            infer_s: ops
                 .time_model
-                .train_seconds(ctx.model.inference_flops(&sample)),
+                .train_seconds(ops.model.inference_flops(&sample)),
             swap_s: 0.0,
         }
+    }
+}
+
+/// One GPU of the event loop: its admission queue, busy horizon, RNG
+/// stream, operator lane, meters, and SLO tallies. Exactly one shard
+/// (or the sequential loop) owns a worker at any time — all of this
+/// state is single-writer by construction.
+pub(crate) struct Worker {
+    pub(crate) queue: ClassedQueue<Request>,
+    pub(crate) free_at: f64,
+    pub(crate) makespan: f64,
+    rng: StdRng,
+    pub(crate) lane: Lane,
+    batches: Counter,
+    busy: Counter,
+    pub(crate) gpu_shed: Counter,
+    phase: Option<PhaseMeter>,
+    depth: QueueDepthMeter,
+    stages: StageRecorder,
+    slo_batch: SloBatch,
+    class_batches: Option<Vec<SloBatch>>,
+    /// Plan version last pushed into the router's residency index
+    /// (Replan + Residency runs only).
+    last_plan_version: u64,
+}
+
+impl Worker {
+    pub(crate) fn gpu(&self) -> GpuId {
+        self.lane.gpu
+    }
+
+    /// The active plan's resident feature set if a commit changed it
+    /// since the last call — what the router's residency index must be
+    /// refreshed with after a batch. `None` for non-replan workers.
+    pub(crate) fn take_plan_update(&mut self) -> Option<&[VertexId]> {
+        let WorkerPolicy::Replan(rw) = &self.lane.policy else {
+            return None;
+        };
+        let version = rw.state.plan.version();
+        if version == self.last_plan_version {
+            return None;
+        }
+        self.last_plan_version = version;
+        Some(&rw.state.plan.active().contents.feat)
     }
 }
 
@@ -1063,38 +1111,78 @@ impl RouterState {
 /// concurrently, inference (and any plan-swap refill) serializes after.
 pub(crate) struct BatchTiming {
     sample_s: f64,
-    extract_s: f64,
+    pub(crate) extract_s: f64,
     infer_s: f64,
     swap_s: f64,
 }
 
 impl BatchTiming {
     /// `max(sample, extract) + infer + swap`.
-    fn service(&self) -> f64 {
+    pub(crate) fn service(&self) -> f64 {
         self.sample_s.max(self.extract_s) + self.infer_s + self.swap_s
     }
 }
 
-/// Everything the batch path reads but never mutates: the dataset, the
-/// metered server, the run config, and the shared trackers whose
-/// interior mutability is limited to commuting integer atomics. One
-/// `&ServeContext` is shared by the sequential loop and by every shard
-/// thread; all single-writer state lives in [`Worker`].
-pub(crate) struct ServeContext<'a> {
+/// The inputs of the batch operators, which [`Lane::run`] reads but
+/// never mutates: the dataset, the metered server with its access
+/// engine and time model, the sampler and the inference model.
+pub(crate) struct Operators<'a> {
     pub(crate) graph: &'a CsrGraph,
     pub(crate) features: &'a FeatureTable,
     pub(crate) server: &'a MultiGpuServer,
-    pub(crate) config: &'a ServeConfig,
     engine: AccessEngine<'a>,
     time_model: TimeModel,
     sampler: KHopSampler,
     model: GnnModel,
+    row_bytes: u64,
+}
+
+impl<'a> Operators<'a> {
+    /// Binds the operators to `engine`'s dataset and server, with a
+    /// GraphSAGE inference model drawn from `model_seed`.
+    pub(crate) fn new(
+        graph: &'a CsrGraph,
+        features: &'a FeatureTable,
+        server: &'a MultiGpuServer,
+        engine: AccessEngine<'a>,
+        config: &ServeConfig,
+        model_seed: u64,
+    ) -> Self {
+        let mut model_rng = StdRng::seed_from_u64(model_seed);
+        let model = GnnModel::new(
+            ModelKind::GraphSage,
+            features.dim(),
+            config.hidden_dim,
+            config.num_classes,
+            config.fanouts.len(),
+            &mut model_rng,
+        );
+        Self {
+            graph,
+            features,
+            server,
+            engine,
+            time_model: TimeModel::new(server.spec()),
+            sampler: KHopSampler::new(config.fanouts.clone()),
+            model,
+            row_bytes: features.row_bytes(),
+        }
+    }
+}
+
+/// Everything the event loop reads but never mutates: the batch
+/// operators, the run config, and the shared trackers whose interior
+/// mutability is limited to commuting integer atomics. One
+/// `&ServeContext` is shared by the sequential loop and by every shard
+/// thread; all single-writer state lives in [`Worker`].
+pub(crate) struct ServeContext<'a> {
+    pub(crate) ops: Operators<'a>,
+    pub(crate) config: &'a ServeConfig,
     pub(crate) registry: Arc<Registry>,
     slo: SloTracker,
     class_slos: Option<Vec<SloTracker>>,
     shed_total: Counter,
     pub(crate) batch_policy: BatchPolicy,
-    row_bytes: u64,
     replan_shared: Option<(WarmupProfile, ReplanMeters)>,
 }
 
@@ -1119,8 +1207,8 @@ pub(crate) fn offer_request(
         }
     };
     if admitted {
-        if let Some(sw) = w.store.as_deref_mut() {
-            sw.prefetch_admitted(ctx.graph, r.target, r.arrival);
+        if let Some(sw) = w.lane.store.as_deref_mut() {
+            sw.prefetch_admitted(ctx.ops.graph, r.target, r.arrival);
         }
     }
 }
@@ -1132,35 +1220,36 @@ pub(crate) fn offer_request(
 pub(crate) fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) -> usize {
     w.depth.observe(w.queue.len());
     let batch = w.queue.take(ctx.config.max_batch);
-    if let Some(sw) = w.store.as_deref_mut() {
+    let lane = &mut w.lane;
+    if let Some(sw) = lane.store.as_deref_mut() {
         sw.meters.inflight.observe(sw.store.inflight(at) as u64);
     }
-    let (h0, m0) = w.feature.totals();
+    let (h0, m0) = lane.feature.totals();
     // Replan commits a staged plan at the top of the batch, runs the
     // batch against it, and rolls its window after; the plan version
     // the batch ran against is the atomicity audit's reference.
-    let (swap_s, version) = match &mut w.policy {
+    let (swap_s, version) = match &mut lane.policy {
         WorkerPolicy::Replan(rw) => (
-            rw.commit(ctx, w.gpu, at, w.store.as_deref_mut()),
+            rw.commit(ctx, lane.gpu, at, lane.store.as_deref_mut()),
             rw.state.plan.version(),
         ),
         _ => (0.0, 0),
     };
     let timing = BatchTiming {
         swap_s,
-        ..w.run_operators(ctx, &batch, at)
+        ..lane.run(&ctx.ops, &mut w.rng, &batch, at)
     };
-    if let WorkerPolicy::Replan(rw) = &mut w.policy {
+    if let WorkerPolicy::Replan(rw) = &mut lane.policy {
         rw.roll(ctx, at, version);
     }
     // Lookahead prefetch: the requests still queued behind the batch
     // just drained are exactly what the next few batches will ask for —
     // stage their SSD rows now so those launches find warm staging.
-    if let Some(sw) = w.store.as_deref_mut() {
-        sw.prefetch_lookahead(ctx.graph, &w.queue, at);
+    if let Some(sw) = lane.store.as_deref_mut() {
+        sw.prefetch_lookahead(ctx.ops.graph, &w.queue, at);
     }
     if let Some(p) = w.phase.as_ref() {
-        let (h1, m1) = w.feature.totals();
+        let (h1, m1) = lane.feature.totals();
         p.record(batch[0].id, h1 - h0, m1 - m0);
     }
     let service = timing.service();
@@ -1248,7 +1337,7 @@ impl<'a> MutationDriver<'a> {
     ) {
         let m = self.log.ops[self.cursor];
         self.cursor += 1;
-        let effect = self.overlay.apply(ctx.graph, &m.op);
+        let effect = self.overlay.apply(ctx.ops.graph, &m.op);
         self.inserts.add(effect.inserted);
         self.deletes.add(effect.deleted);
         self.overlay_rows.add(effect.newly_dirty);
@@ -1263,8 +1352,8 @@ impl<'a> MutationDriver<'a> {
         // any replan worker's active plan — is now stale; samplers
         // detect this through the overlay's dirty bit and fall back to
         // CPU UVA, but we count the invalidation here for telemetry.
-        let cached = ctx.engine.topology_cached_anywhere(v)
-            || workers.iter().any(|w| match &w.policy {
+        let cached = ctx.ops.engine.topology_cached_anywhere(v)
+            || workers.iter().any(|w| match &w.lane.policy {
                 WorkerPolicy::Replan(rw) => rw
                     .state
                     .plan
@@ -1285,7 +1374,7 @@ impl<'a> MutationDriver<'a> {
         // so the windowed estimators treat it as freshly touched — the
         // slow path (re-planning) will re-examine it next roll.
         for w in workers.iter_mut() {
-            if let WorkerPolicy::Replan(rw) = &mut w.policy {
+            if let WorkerPolicy::Replan(rw) = &mut w.lane.policy {
                 rw.state.window.note_edge(v);
                 if let MutationOp::InsertEdge { dst, .. } = m.op {
                     rw.state.window.note_feature(dst);
@@ -1300,7 +1389,7 @@ impl<'a> MutationDriver<'a> {
     fn maybe_compact(&mut self, ctx: &ServeContext<'_>) {
         if self.compact_threshold > 0
             && self.overlay.pending_delta_edges() >= self.compact_threshold
-            && self.overlay.compact(ctx.graph) > 0
+            && self.overlay.compact(ctx.ops.graph) > 0
         {
             self.compactions.inc();
         }
@@ -1347,7 +1436,7 @@ fn run_sequential(
             (Some(r), l) if l.is_none_or(|(t, _)| r.arrival < t) => {
                 next_req += 1;
                 let wi = match router.as_mut() {
-                    Some(rs) => rs.route(ctx.graph, workers, r),
+                    Some(rs) => rs.route(ctx.ops.graph, workers, r),
                     None => (r.id % num_gpus as u64) as usize,
                 };
                 let route_shed = router
@@ -1365,7 +1454,7 @@ fn run_sequential(
                 // A committed plan changed this GPU's resident set:
                 // rebuild its residency group from the active plan.
                 if let Some(rs) = router.as_mut() {
-                    let g = rs.dispatcher.group_of(workers[wi].gpu);
+                    let g = rs.dispatcher.group_of(workers[wi].gpu());
                     if let Some(feat) = workers[wi].take_plan_update() {
                         rs.dispatcher.refresh_group(g, feat);
                     }
@@ -1378,9 +1467,30 @@ fn run_sequential(
     }
 }
 
+/// A dispatcher over the server's NVLink cliques, each clique's
+/// residency approximated by its LDG partition (§4.1 ownership) — the
+/// content a FIFO-cached clique tracks in steady state. A clique whose
+/// projected depths all reach `spill_len` spills.
+pub(crate) fn ldg_clique_dispatcher(
+    graph: &CsrGraph,
+    server: &MultiGpuServer,
+    spill_len: usize,
+) -> Dispatcher {
+    let groups = detect_cliques(server.nvlink());
+    let part = LdgPartitioner::default().partition(graph, groups.len());
+    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
+    for g in 0..dispatcher.num_groups() {
+        let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+            .filter(|&v| part[v as usize] as usize == g)
+            .collect();
+        dispatcher.refresh_group(g, &owned);
+    }
+    dispatcher
+}
+
 /// Runs the full serving simulation for `config` against `server`.
 ///
-/// Generates the open-loop workload from the config's seed and hands it
+/// Draws the open-loop workload with [`generate_requests`] and hands it
 /// to [`serve_requests`]; the server is reset first (memory and all
 /// counters) and on return its registry holds the run's complete
 /// metrics.
@@ -1391,31 +1501,7 @@ pub fn serve(
     config: &ServeConfig,
 ) -> ServeReport {
     config.validate();
-    let all_targets: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-
-    // Open-loop workload: arrivals, priority classes, and (drifting)
-    // targets. The class stream is seeded independently, and the target
-    // sampler only gets the boosted Interactive head when the mix can
-    // actually produce Interactive requests — so the default
-    // single-class config reproduces the legacy stream byte-for-byte.
-    let mut target_sampler = TargetSampler::new(
-        all_targets,
-        config.zipf_exponent,
-        config.drift_period,
-        config.drift_stride,
-    );
-    if config.classes.mix[PriorityClass::Interactive.index()] > 0.0 {
-        target_sampler = target_sampler.with_interactive_boost(config.classes.interactive_boost);
-    }
-    let mut class_sampler = ClassSampler::new(config.classes.mix, config.seed);
-    let mut workload_rng = StdRng::seed_from_u64(config.seed);
-    let requests = generate_workload_classed(
-        &config.arrival,
-        &mut target_sampler,
-        &mut class_sampler,
-        config.num_requests,
-        &mut workload_rng,
-    );
+    let requests = generate_requests(graph, config);
     serve_requests(graph, features, server, config, &requests)
 }
 
@@ -1499,17 +1585,6 @@ pub fn serve_requests(
         .map(|_| DeltaOverlay::new(graph.num_vertices()));
     let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva)
         .with_overlay(overlay.as_ref());
-    let time_model = TimeModel::new(server.spec());
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x6d5f_3a21_9b4e_c087);
-    let model = GnnModel::new(
-        ModelKind::GraphSage,
-        features.dim(),
-        config.hidden_dim,
-        config.num_classes,
-        config.fanouts.len(),
-        &mut model_rng,
-    );
 
     let registry = server.telemetry();
     let slo = SloTracker::new(registry, config.slo_us);
@@ -1567,20 +1642,20 @@ pub fn serve_requests(
     // atomics (counters, histograms, the server's meters) — the reason
     // sharded runs can flush batch-wise without changing any total.
     let ctx = ServeContext {
-        graph,
-        features,
-        server,
+        ops: Operators::new(
+            graph,
+            features,
+            server,
+            engine,
+            config,
+            config.seed ^ 0x6d5f_3a21_9b4e_c087,
+        ),
         config,
-        engine,
-        time_model,
-        sampler,
-        model,
         registry: Arc::clone(registry),
         slo,
         class_slos,
         shed_total,
         batch_policy,
-        row_bytes,
         replan_shared,
     };
 
@@ -1632,13 +1707,20 @@ pub fn serve_requests(
                 }
             };
             Worker {
-                gpu,
                 queue,
                 free_at: 0.0,
                 makespan: 0.0,
                 rng: StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7)),
-                scratch: BatchScratch::new(num_gpus),
-                feature: FeatureMeters::new(registry, gpu),
+                lane: Lane {
+                    store: store_placement
+                        .as_ref()
+                        .map(|p| Box::new(StoreWorker::new(p, &config.store, row_bytes, registry))),
+                    remote: config
+                        .remote
+                        .as_ref()
+                        .map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
+                    ..Lane::new(gpu, num_gpus, registry, policy)
+                },
                 batches: registry.counter(&format!("serve.gpu{gpu}.batches")),
                 busy: registry.counter(&format!("serve.gpu{gpu}.busy_ns")),
                 gpu_shed: registry.counter(&format!("serve.gpu{gpu}.shed")),
@@ -1653,14 +1735,6 @@ pub fn serve_requests(
                     .class_slos
                     .as_ref()
                     .map(|trackers| trackers.iter().map(SloTracker::batch).collect()),
-                policy,
-                store: store_placement
-                    .as_ref()
-                    .map(|p| Box::new(StoreWorker::new(p, &config.store, row_bytes, registry))),
-                remote: config
-                    .remote
-                    .as_ref()
-                    .map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
                 // No plan has been pushed to a residency index yet.
                 last_plan_version: u64::MAX,
             }
@@ -1673,16 +1747,12 @@ pub fn serve_requests(
     // LDG partition (§4.1 ownership); Replan runs per-GPU groups seeded
     // from each worker's initial plan and refreshed on every commit.
     let mut router = residency.then(|| {
-        let groups = match config.policy {
-            PolicyKind::StaticHot => static_groups.take().expect("partitioned layout built"),
-            PolicyKind::Fifo => detect_cliques(server.nvlink()),
-            PolicyKind::Replan => (0..num_gpus).map(|g| vec![g]).collect(),
-        };
         let spill_len =
             (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
-        let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-        match config.policy {
+        let dispatcher = match config.policy {
             PolicyKind::StaticHot => {
+                let groups = static_groups.take().expect("partitioned layout built");
+                let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
                 for g in 0..dispatcher.num_groups() {
                     let member = dispatcher.group_members(g)[0];
                     let resident = layout
@@ -1692,25 +1762,21 @@ pub fn serve_requests(
                         .feature_vertices();
                     dispatcher.refresh_group(g, &resident);
                 }
+                dispatcher
             }
-            PolicyKind::Fifo => {
-                let part = LdgPartitioner::default().partition(graph, dispatcher.num_groups());
-                for g in 0..dispatcher.num_groups() {
-                    let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-                        .filter(|&v| part[v as usize] as usize == g)
-                        .collect();
-                    dispatcher.refresh_group(g, &owned);
-                }
-            }
+            PolicyKind::Fifo => ldg_clique_dispatcher(graph, server, spill_len),
             PolicyKind::Replan => {
+                let groups = (0..num_gpus).map(|g| vec![g]).collect();
+                let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
                 for w in &mut workers {
-                    let g = dispatcher.group_of(w.gpu);
+                    let g = dispatcher.group_of(w.gpu());
                     if let Some(feat) = w.take_plan_update() {
                         dispatcher.refresh_group(g, feat);
                     }
                 }
+                dispatcher
             }
-        }
+        };
         RouterState::new(registry, dispatcher, config.router.probe_neighbors)
     });
 
@@ -2409,23 +2475,7 @@ mod tests {
         // Replaying the logged stream reproduces the generated run
         // byte-for-byte: rebuild the log exactly as the engine resolved
         // it (same seed, horizon = last arrival) and swap the source.
-        let requests = {
-            let mut target_sampler = TargetSampler::new(
-                (0..g.num_vertices() as u32).collect(),
-                config.zipf_exponent,
-                config.drift_period,
-                config.drift_stride,
-            );
-            let mut class_sampler = ClassSampler::new(config.classes.mix, config.seed);
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            generate_workload_classed(
-                &config.arrival,
-                &mut target_sampler,
-                &mut class_sampler,
-                config.num_requests,
-                &mut rng,
-            )
-        };
+        let requests = generate_requests(&g, &config);
         let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
         let log = Arc::new(MutationLog::generate(&g, &churn, config.seed, horizon));
         assert!(!log.ops.is_empty(), "churn fixture must generate mutations");

@@ -136,8 +136,8 @@ pub use sweep::{
     estimate_capacity_rps, run_sweep, LoadPoint, SMOKE_MULTIPLIERS, SWEEP_MULTIPLIERS,
 };
 pub use workload::{
-    generate_workload, generate_workload_classed, ArrivalProcess, ClassSampler, Request,
-    TargetSampler,
+    generate_requests, generate_workload, generate_workload_classed, ArrivalProcess, ClassSampler,
+    Request, TargetSampler,
 };
 
 /// Full configuration of one serving run.
@@ -184,17 +184,6 @@ pub struct ServeConfig {
     /// `1` (the default) runs the sequential global loop, byte-identical
     /// to the pre-sharding engine.
     pub shards: usize,
-    /// Coordination quantum of the sharded residency-routed loop,
-    /// simulated seconds: the coordinator routes arrivals and drains the
-    /// steal pool once per quantum. Ignored at `shards <= 1` and under
-    /// round-robin routing (which needs no coordination). When
-    /// `adaptive_quantum` is set this value is the initial/maximum
-    /// quantum the EWMA adapts below.
-    pub shard_quantum: f64,
-    /// Whether the sharded residency coordinator adapts its quantum to
-    /// the measured batch service time (EWMA) instead of stepping at the
-    /// fixed `shard_quantum`.
-    pub adaptive_quantum: bool,
     /// Out-of-core feature store (SSD tier below host DRAM).
     pub store: StoreConfig,
     /// Cross-server residency of the fleet tier; `None` (the default)
@@ -451,8 +440,6 @@ impl Default for ServeConfig {
             router: RouterConfig::default(),
             classes: ClassConfig::default(),
             shards: 1,
-            shard_quantum: 1e-3,
-            adaptive_quantum: false,
             store: StoreConfig::default(),
             remote: None,
             mutations: None,
@@ -481,7 +468,6 @@ impl ServeConfig {
             "arrival rate must be positive"
         );
         assert!(self.shards > 0, "shards must be positive");
-        assert!(self.shard_quantum > 0.0, "shard_quantum must be positive");
         if let Some(m) = &self.mutations {
             if let Err(e) = m.validate() {
                 panic!("mutations: {e}");

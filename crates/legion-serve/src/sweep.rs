@@ -3,30 +3,23 @@
 //!
 //! Absolute request rates mean nothing across dataset scales and server
 //! shapes, so the sweep is anchored to a measured capacity: a closed-loop
-//! probe times a few batches against a warmed FIFO feature cache,
-//! capacity is `num_gpus * max_batch / service`, and offered loads are
-//! expressed as multipliers of it. A multiplier past 1.0 is guaranteed
-//! overload, so every sweep exhibits its saturation knee regardless of
-//! scale knobs.
+//! probe runs a few rounds of batches through the engine's own batch
+//! operators against warmed FIFO feature caches, capacity is
+//! `num_gpus * max_batch / round`, and offered loads are expressed as
+//! multipliers of it. A multiplier past 1.0 is guaranteed overload, so
+//! every sweep exhibits its saturation knee regardless of scale knobs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use legion_gnn::{GnnModel, ModelKind};
-use legion_graph::{CsrGraph, FeatureTable};
-use legion_hw::pcm::TrafficKind;
+use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::MultiGpuServer;
-use legion_pipeline::TimeModel;
+use legion_router::{RouterPolicy, CLASS_COUNT};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-use legion_sampling::KHopSampler;
 
-use legion_graph::VertexId;
-use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
-use legion_router::{Dispatcher, RouterPolicy, CLASS_COUNT};
-
-use crate::engine::serve;
-use crate::workload::{ClassSampler, TargetSampler};
+use crate::engine::{ldg_clique_dispatcher, serve, Lane, Operators};
+use crate::workload::{ClassSampler, Request, TargetSampler};
 use crate::ServeConfig;
 
 /// Default load multipliers for the full sweep; the knee sits between
@@ -79,14 +72,14 @@ pub struct LoadPoint {
     pub route_locality: f64,
 }
 
-/// The capacity probes' stand-in for the out-of-core store: a
-/// DRAM-capacity FIFO window behind the probe's HBM FIFO. A feature
-/// miss that also falls outside the window must stage from the
-/// simulated NVMe before extraction can start, and the probe charges
-/// that batch [`legion_store::NvmeModel::read_seconds`] exactly like
-/// the engine charges cold reads. Inactive (`None`) when the store is
-/// off *or* the DRAM budget holds the whole table — a DRAM-resident
-/// probe stays byte-identical to the storeless one.
+/// The capacity probe's stand-in for the out-of-core store, which has
+/// no placement plan to build a real store from: a DRAM-capacity FIFO
+/// window behind a lane's HBM FIFO. A feature miss that also falls
+/// outside the window must stage from the simulated NVMe before
+/// extraction can start, and the probe charges that batch
+/// [`legion_store::NvmeModel::read_seconds`] exactly like the engine
+/// charges cold reads. Inactive (`None`) when the store is off *or* the
+/// DRAM budget holds the whole table.
 struct ProbeStore {
     dram: legion_cache::FifoCache,
     nvme: legion_store::NvmeModel,
@@ -109,16 +102,14 @@ impl ProbeStore {
         })
     }
 
-    /// Records one HBM feature miss; returns after noting whether the
-    /// row was DRAM-resident or must stage from NVMe.
-    fn miss(&mut self, v: VertexId) {
-        if !self.dram.access(v) {
-            self.cold += 1;
+    /// Stages the batch's HBM misses and returns the NVMe time of those
+    /// that were not DRAM-resident.
+    fn stage_seconds(&mut self, missed: &[VertexId]) -> f64 {
+        for &v in missed {
+            if !self.dram.access(v) {
+                self.cold += 1;
+            }
         }
-    }
-
-    /// Drains the batch's accumulated cold reads into a staging charge.
-    fn stage_seconds(&mut self) -> f64 {
         let t = self.nvme.read_seconds(self.cold, self.row_bytes);
         self.cold = 0;
         t
@@ -126,37 +117,34 @@ impl ProbeStore {
 }
 
 /// Estimates serving capacity (requests per simulated second) with a
-/// closed-loop probe: warm a FIFO feature cache of the configured size
-/// with a few `max_batch`-sized batches, time the next few against it,
-/// then scale by GPU count. Warming matters — an uncached probe would
-/// undershoot the steady-state ceiling so badly that "1.3x capacity"
-/// could still be under real capacity and never saturate. Resets the
-/// server before and after, so the probe leaves no trace in later runs.
+/// closed-loop probe. Each round draws seeds from the configured class
+/// mix — `Interactive` targets from the boosted head when the mix has
+/// any — assigns them to GPUs, runs every non-empty per-GPU sub-batch
+/// through a FIFO-policy lane of the engine's batch operators (the
+/// body every serving worker runs), and costs the round the slowest
+/// GPU's service time. The first rounds only warm the caches; an
+/// uncached probe would undershoot the steady-state ceiling so badly
+/// that "1.3x capacity" could still be under real capacity and never
+/// saturate. Capacity is `num_gpus * max_batch / mean_round`.
 ///
-/// The probe is class-aware: its seed stream draws each probe target
-/// for a class sampled from [`ClassConfig::mix`](crate::ClassConfig),
-/// with `Interactive` targets from the boosted head when class skew is
-/// enabled — so the estimate anchors to the *aggregate mix*, not to any
-/// single class's distribution. With the default single-class mix the
-/// probe is byte-identical to the original single-class estimator
-/// (pinned by `legacy_probe_is_byte_identical_for_single_class`).
-///
-/// When the residency router is enabled
-/// ([`RouterPolicy::Residency`]), the probe routes its seeds through
-/// the same [`Dispatcher`] scoring the engine uses instead of timing
-/// round-robin single-GPU batches — routed runs concentrate each
-/// clique's partition on its own caches, so their steady-state service
-/// rate (and therefore the knee a sweep should anchor to) is higher
-/// than the round-robin probe reports. The router-off path is
-/// byte-identical to the original probe.
+/// Under [`RouterPolicy::RoundRobin`] a round is one `max_batch` batch
+/// on GPU 0, standing in for every GPU. Under
+/// [`RouterPolicy::Residency`] a round is `num_gpus * max_batch` seeds
+/// routed through a [`Dispatcher`](legion_router::Dispatcher) over the
+/// NVLink cliques, each clique's residency approximated by its LDG
+/// partition, against *projected* depths (incremented per placement
+/// within the round, as the sharded coordinator does). Its spill
+/// threshold is one batch per GPU: the probe models the system *at*
+/// saturation, where a clique past its fair share spills to the
+/// least-loaded GPU.
 ///
 /// With an active out-of-core store whose DRAM budget cannot hold the
-/// feature table, each probe batch additionally pays the NVMe staging
-/// time of its DRAM-cold misses (`ProbeStore`) — an oversubscribed
-/// system's knee sits below its DRAM-resident twin's, and a sweep
-/// anchored to the resident estimate would never cross it. A store
-/// whose budget holds the whole table is inert and the probe stays
-/// byte-identical to the storeless one.
+/// feature table, each batch's extraction also pays the NVMe staging
+/// time of its DRAM-cold misses (`ProbeStore`), so an oversubscribed
+/// system anchors below its DRAM-resident twin.
+///
+/// The probe resets the server before and after and registers no
+/// `serve.*` meters, so it leaves no trace in later runs.
 pub fn estimate_capacity_rps(
     graph: &CsrGraph,
     features: &FeatureTable,
@@ -164,114 +152,17 @@ pub fn estimate_capacity_rps(
     config: &ServeConfig,
 ) -> f64 {
     config.validate();
-    if config.router.policy == RouterPolicy::Residency {
-        return routed_capacity_rps(graph, features, server, config);
-    }
-    server.reset();
-    let layout = CacheLayout::none(server.num_gpus());
-    let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva);
-    let time_model = TimeModel::new(server.spec());
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x51ee_7d00_c0de_cafe);
-    let model = GnnModel::new(
-        ModelKind::GraphSage,
-        features.dim(),
-        config.hidden_dim,
-        config.num_classes,
-        config.fanouts.len(),
-        &mut model_rng,
-    );
-    let mut targets = TargetSampler::new(
-        (0..graph.num_vertices() as u32).collect(),
-        config.zipf_exponent,
-        0,
-        0,
-    );
-    if config.classes.mix[0] > 0.0 {
-        targets = targets.with_interactive_boost(config.classes.interactive_boost);
-    }
-    let mut classes = ClassSampler::new(config.classes.mix, config.seed ^ 0x0bad_cafe_f00d_beef);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0bad_cafe_f00d_beef);
-    let mut fifo = legion_cache::FifoCache::new(config.cache_rows_per_gpu);
-    let row_bytes = features.row_bytes();
-    let row_tx = server.pcie().transactions_for_payload(row_bytes);
-    let mut store = ProbeStore::new(config, graph.num_vertices(), row_bytes);
-
-    const WARMUP_BATCHES: usize = 8;
-    const PROBES: usize = 4;
-    let mut total = 0.0f64;
-    for i in 0..WARMUP_BATCHES + PROBES {
-        let mut seeds: Vec<u32> = (0..config.max_batch)
-            .map(|_| targets.next_for_class(classes.sample(), &mut rng))
-            .collect();
-        // Same dedupe as the engine: duplicate targets expand once.
-        seeds.sort_unstable();
-        seeds.dedup();
-        let topo_before = server.pcm().gpu_kind(0, TrafficKind::Topology);
-        let sample = sampler.sample_batch(&engine, 0, &seeds, &mut rng, None);
-        let topo_tx = server.pcm().gpu_kind(0, TrafficKind::Topology) - topo_before;
-        let mut feat_miss = 0u64;
-        for &v in &sample.all_vertices {
-            if !fifo.access(v) {
-                feat_miss += 1;
-                if let Some(s) = store.as_mut() {
-                    s.miss(v);
-                }
-            }
-        }
-        let feat_tx = feat_miss * row_tx;
-        let stage_t = store.as_mut().map_or(0.0, ProbeStore::stage_seconds);
-        if i < WARMUP_BATCHES {
-            continue;
-        }
-        let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-        let extract_t = time_model.extract_seconds(feat_tx, 0) + stage_t;
-        total += sample_t.max(extract_t) + time_model.train_seconds(model.inference_flops(&sample));
-    }
-    server.reset();
-    let mean_service = total / PROBES as f64;
-    assert!(mean_service > 0.0, "probe batches took no simulated time");
-    server.num_gpus() as f64 * config.max_batch as f64 / mean_service
-}
-
-/// Dispatcher-routed capacity probe for residency-router runs.
-///
-/// Builds the same routing state the engine does — clique groups from
-/// the NVLink topology with each clique's residency approximated by its
-/// LDG partition (a uniform stand-in for all three cache policies, whose
-/// steady-state clique content tracks ownership) — then, per round,
-/// draws `num_gpus * max_batch` seeds, routes each through
-/// [`Dispatcher::route`] against *projected* depths (incremented per
-/// placement within the round, the same projection the sharded
-/// coordinator uses), and times every GPU's routed sub-batch against a
-/// per-GPU warmed FIFO cache. The probe's spill threshold is one batch
-/// per GPU: a capacity probe models the system *at* saturation, where a
-/// clique past its fair share spills to the globally least-loaded GPU —
-/// without it, coverage skew would serialize whole rounds onto the hot
-/// clique and undershoot aggregate capacity. GPUs run concurrently, so
-/// the round's service time is the *max* over GPUs and capacity is
-/// `num_gpus * max_batch / mean_round`. Resets the server before and
-/// after, like the round-robin probe.
-fn routed_capacity_rps(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    config: &ServeConfig,
-) -> f64 {
     server.reset();
     let num_gpus = server.num_gpus();
     let layout = CacheLayout::none(num_gpus);
     let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva);
-    let time_model = TimeModel::new(server.spec());
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x51ee_7d00_c0de_cafe);
-    let model = GnnModel::new(
-        ModelKind::GraphSage,
-        features.dim(),
-        config.hidden_dim,
-        config.num_classes,
-        config.fanouts.len(),
-        &mut model_rng,
+    let ops = Operators::new(
+        graph,
+        features,
+        server,
+        engine,
+        config,
+        config.seed ^ 0x51ee_7d00_c0de_cafe,
     );
     let mut targets = TargetSampler::new(
         (0..graph.num_vertices() as u32).collect(),
@@ -284,98 +175,67 @@ fn routed_capacity_rps(
     }
     let mut classes = ClassSampler::new(config.classes.mix, config.seed ^ 0x0bad_cafe_f00d_beef);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0bad_cafe_f00d_beef);
-
-    let groups = detect_cliques(server.nvlink());
-    let part = LdgPartitioner::default().partition(graph, groups.len());
-    // One batch of backlog per GPU is the probe's saturation point: a
-    // clique whose projected depths all reach it spills, exactly like a
-    // saturated admission queue in the engine.
-    let spill_len = config.max_batch.max(1);
-    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-    for g in 0..dispatcher.num_groups() {
-        let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-            .filter(|&v| part[v as usize] as usize == g)
-            .collect();
-        dispatcher.refresh_group(g, &owned);
-    }
-
-    let mut fifos: Vec<legion_cache::FifoCache> = (0..num_gpus)
-        .map(|_| legion_cache::FifoCache::new(config.cache_rows_per_gpu))
+    let dispatcher = (config.router.policy == RouterPolicy::Residency)
+        .then(|| ldg_clique_dispatcher(graph, server, config.max_batch.max(1)));
+    let num_lanes = if dispatcher.is_some() { num_gpus } else { 1 };
+    let mut lanes: Vec<Lane> = (0..num_lanes)
+        .map(|gpu| Lane::fifo(gpu, num_gpus, server.telemetry(), config.cache_rows_per_gpu))
         .collect();
-    let row_bytes = features.row_bytes();
-    let row_tx = server.pcie().transactions_for_payload(row_bytes);
-    // One probe store per GPU, like the engine's per-worker stores.
-    let mut stores: Vec<Option<ProbeStore>> = (0..num_gpus)
-        .map(|_| ProbeStore::new(config, graph.num_vertices(), row_bytes))
+    let mut stores: Vec<Option<ProbeStore>> = (0..num_lanes)
+        .map(|_| ProbeStore::new(config, graph.num_vertices(), features.row_bytes()))
         .collect();
-    let mut lens = vec![0usize; num_gpus];
+    let mut batches: Vec<Vec<Request>> = vec![Vec::new(); num_lanes];
+    let mut lens = vec![0usize; num_lanes];
     let mut probe: Vec<VertexId> = Vec::new();
-    let mut per_gpu: Vec<Vec<u32>> = vec![Vec::new(); num_gpus];
 
-    const WARMUP_BATCHES: usize = 8;
+    const WARMUP_ROUNDS: usize = 8;
     const PROBES: usize = 4;
     let mut total = 0.0f64;
-    for i in 0..WARMUP_BATCHES + PROBES {
-        for sub in &mut per_gpu {
-            sub.clear();
-        }
+    for i in 0..WARMUP_ROUNDS + PROBES {
+        batches.iter_mut().for_each(Vec::clear);
         lens.fill(0);
-        for _ in 0..num_gpus * config.max_batch {
-            let t = targets.next_for_class(classes.sample(), &mut rng);
-            probe.clear();
-            probe.push(t);
-            probe.extend(
-                graph
-                    .neighbors(t)
-                    .iter()
-                    .take(config.router.probe_neighbors)
-                    .copied(),
-            );
-            // Projected depths, exactly like the sharded coordinator:
-            // each placement deepens its GPU, spreading a clique's
-            // round across its members and spilling past one batch.
-            let dec = dispatcher.route(&probe, &lens);
-            lens[dec.gpu] += 1;
-            per_gpu[dec.gpu].push(t);
+        for id in 0..(num_lanes * config.max_batch) as u64 {
+            let class = classes.sample();
+            let target = targets.next_for_class(class, &mut rng);
+            let gpu = dispatcher.as_ref().map_or(0, |d| {
+                probe.clear();
+                probe.push(target);
+                probe.extend(
+                    graph
+                        .neighbors(target)
+                        .iter()
+                        .take(config.router.probe_neighbors)
+                        .copied(),
+                );
+                let gpu = d.route(&probe, &lens).gpu;
+                lens[gpu] += 1;
+                gpu
+            });
+            batches[gpu].push(Request {
+                id,
+                arrival: 0.0,
+                target,
+                class,
+            });
         }
         let mut round = 0.0f64;
-        for (gpu, seeds) in per_gpu.iter_mut().enumerate() {
-            if seeds.is_empty() {
+        for ((lane, batch), store) in lanes.iter_mut().zip(&batches).zip(&mut stores) {
+            if batch.is_empty() {
                 continue;
             }
-            // Same dedupe as the engine: duplicate targets expand once.
-            seeds.sort_unstable();
-            seeds.dedup();
-            let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-            let sample = sampler.sample_batch(&engine, gpu, seeds, &mut rng, None);
-            let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
-            let mut feat_miss = 0u64;
-            for &v in &sample.all_vertices {
-                if !fifos[gpu].access(v) {
-                    feat_miss += 1;
-                    if let Some(s) = stores[gpu].as_mut() {
-                        s.miss(v);
-                    }
-                }
+            let mut timing = lane.run(&ops, &mut rng, batch, 0.0);
+            if let Some(s) = store.as_mut() {
+                timing.extract_s += s.stage_seconds(lane.missed());
             }
-            let feat_tx = feat_miss * row_tx;
-            let stage_t = stores[gpu].as_mut().map_or(0.0, ProbeStore::stage_seconds);
-            let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-            let extract_t = time_model.extract_seconds(feat_tx, 0) + stage_t;
-            let service =
-                sample_t.max(extract_t) + time_model.train_seconds(model.inference_flops(&sample));
-            round = round.max(service);
+            round = round.max(timing.service());
         }
-        if i >= WARMUP_BATCHES {
+        if i >= WARMUP_ROUNDS {
             total += round;
         }
     }
     server.reset();
     let mean_round = total / PROBES as f64;
-    assert!(
-        mean_round > 0.0,
-        "routed probe rounds took no simulated time"
-    );
+    assert!(mean_round > 0.0, "probe rounds took no simulated time");
     num_gpus as f64 * config.max_batch as f64 / mean_round
 }
 

@@ -20,8 +20,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use legion_graph::generate::Zipf;
-use legion_graph::VertexId;
+use legion_graph::{CsrGraph, VertexId};
 use legion_router::{PriorityClass, QueuedRequest, CLASS_COUNT};
+
+use crate::ServeConfig;
 
 /// One inference request: classify `target` using its sampled
 /// multi-hop neighborhood.
@@ -325,6 +327,33 @@ pub fn generate_workload_classed<R: Rng + ?Sized>(
         });
     }
     out
+}
+
+/// The open-loop request stream [`serve`](crate::serve) draws for
+/// `config`: arrivals, priority classes and (drifting) targets. The
+/// class stream is seeded independently, and the target sampler gets
+/// the boosted `Interactive` head only when the mix can produce
+/// `Interactive` requests — so the default single-class config draws
+/// the single-class stream.
+pub fn generate_requests(graph: &CsrGraph, config: &ServeConfig) -> Vec<Request> {
+    let mut targets = TargetSampler::new(
+        (0..graph.num_vertices() as VertexId).collect(),
+        config.zipf_exponent,
+        config.drift_period,
+        config.drift_stride,
+    );
+    if config.classes.mix[PriorityClass::Interactive.index()] > 0.0 {
+        targets = targets.with_interactive_boost(config.classes.interactive_boost);
+    }
+    let mut classes = ClassSampler::new(config.classes.mix, config.seed);
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    generate_workload_classed(
+        &config.arrival,
+        &mut targets,
+        &mut classes,
+        config.num_requests,
+        &mut rng,
+    )
 }
 
 #[cfg(test)]

@@ -56,6 +56,9 @@ cargo test -q -p legion-core --test determinism
 echo "==> serving golden matrix (snapshot digests + capacity-probe bits)"
 cargo test -q -p legion-serve --test serve_golden
 
+echo "==> perfbench build (the benchmark harness compiles against the public API)"
+CARGO_TARGET_DIR=.bench_build cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> bench_compare --warn-only (fresh smoke hotpath run vs committed BENCH_hotpath.json)"
 BENCH_TMP="$(mktemp /tmp/bench_hotpath.XXXXXX.json)"
 trap 'rm -f "$BENCH_TMP"' EXIT
