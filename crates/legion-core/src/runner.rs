@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use legion_baselines::{ScheduleKind, SystemSetup};
 use legion_gnn::{GnnModel, ModelKind};
+use legion_graph::{CsrGraph, VertexId};
 use legion_hw::pcm::{pcm_counter_name, TrafficKind};
 use legion_hw::traffic::{traffic_counter_name, Source};
 use legion_hw::MultiGpuServer;
@@ -25,7 +26,7 @@ use legion_sampling::access::{AccessEngine, BatchTotals};
 use legion_sampling::extract::HitStats;
 use legion_sampling::{BatchGenerator, KHopSampler, SampleScratch};
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
-use legion_telemetry::{Counter, Snapshot, NANOS_PER_SEC};
+use legion_telemetry::{Counter, Registry, Snapshot, NANOS_PER_SEC};
 
 use legion_baselines::BuildContext;
 
@@ -159,6 +160,10 @@ fn finalize_report(name: String, server: &MultiGpuServer, epoch_seconds: f64) ->
     }
 }
 
+/// Output classes of the throwaway model that supplies training FLOP
+/// counts; its weights are never updated by the runner.
+const FLOP_MODEL_CLASSES: usize = 16;
+
 /// Out-of-core configuration for the offline epoch runner: a host-DRAM
 /// budget for feature rows with the cold tail on the simulated NVMe
 /// tier, plus the batch-generator lookahead prefetcher's knobs. The
@@ -194,28 +199,62 @@ impl Default for EpochStoreConfig {
     }
 }
 
+/// The tier assignment every trainer's store shares: the rows that
+/// spilled past the DRAM budget onto the SSD.
+struct StorePlan<'a> {
+    cfg: &'a EpochStoreConfig,
+    ssd_rows: &'a [VertexId],
+    num_vertices: usize,
+    row_bytes: u64,
+}
+
 /// Per-GPU out-of-core state for the epoch runner: the NUMA-local
 /// store plus the shared epoch-level meters.
 struct EpochStore {
     store: VertexStore,
+    lookahead_batches: usize,
     prefetch_neighbors: usize,
     prefetch_budget: usize,
     prefetch_hits: Counter,
     late_stalls: Counter,
     cold_reads: Counter,
     nvme_bytes: Counter,
-    missed: Vec<legion_graph::VertexId>,
-    candidates: Vec<legion_graph::VertexId>,
+    missed: Vec<VertexId>,
+    candidates: Vec<VertexId>,
 }
 
 impl EpochStore {
+    /// Opens one trainer's store over `plan`. The warm fill happens
+    /// before the measured epoch, mirroring the HBM cache's warmup pass.
+    fn open(plan: &StorePlan<'_>, registry: &Registry) -> Self {
+        let cfg = plan.cfg;
+        let nvme = NvmeModel::new(cfg.nvme);
+        let mut store = VertexStore::new(nvme, plan.num_vertices, plan.row_bytes, cfg.staging_rows);
+        for &v in plan.ssd_rows {
+            store.assign(v, Tier::Ssd);
+        }
+        store.warm(plan.ssd_rows.iter().copied());
+        Self {
+            store,
+            lookahead_batches: cfg.lookahead_batches,
+            prefetch_neighbors: cfg.prefetch_neighbors,
+            prefetch_budget: cfg.prefetch_budget,
+            prefetch_hits: registry.counter("epoch.store.prefetch_hits"),
+            late_stalls: registry.counter("epoch.store.late_stalls"),
+            cold_reads: registry.counter("epoch.store.cold_reads"),
+            nvme_bytes: registry.counter("store.nvme.bytes"),
+            missed: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+
     /// Resolves a batch's cache misses against the store at epoch time
     /// `at` and returns the extraction stall to charge.
     fn charge(
         &mut self,
         engine: &AccessEngine<'_>,
         gpu: usize,
-        inputs: &[legion_graph::VertexId],
+        inputs: &[VertexId],
         at: f64,
     ) -> f64 {
         self.missed.clear();
@@ -235,25 +274,12 @@ impl EpochStore {
 
     /// Stages an upcoming generator batch's seed rows (and each seed's
     /// leading neighbors) at epoch time `at`, ahead of its extraction.
-    fn prefetch_batch(
-        &mut self,
-        graph: &legion_graph::CsrGraph,
-        seeds: &[legion_graph::VertexId],
-        at: f64,
-    ) {
+    fn prefetch_batch(&mut self, graph: &CsrGraph, seeds: &[VertexId], at: f64) {
         if self.prefetch_budget == 0 {
             return;
         }
-        self.candidates.clear();
         for &s in seeds {
-            self.candidates.push(s);
-            self.candidates.extend(
-                graph
-                    .neighbors(s)
-                    .iter()
-                    .take(self.prefetch_neighbors)
-                    .copied(),
-            );
+            graph.extend_probe(s, self.prefetch_neighbors, &mut self.candidates);
         }
         let out = self
             .store
@@ -262,38 +288,152 @@ impl EpochStore {
     }
 }
 
-/// Reusable per-worker state for the shared sample→extract→train batch
-/// step. One instance lives per training GPU worker (one total in the
-/// sequential runner, one per thread in the parallel runner), so the
-/// sampler's scratch arena, the feature gather buffer, and the
-/// batch-local meter totals are allocated once and reused across every
-/// batch of the epoch.
-struct BatchStep<'a, 'b> {
-    engine: &'a AccessEngine<'b>,
-    time_model: &'a TimeModel,
-    flops_model: &'a GnnModel,
-    server: &'a MultiGpuServer,
-    scratch: SampleScratch,
+/// One trainer GPU's reusable batch state: the sampler's scratch arena,
+/// the feature gather buffer and the batch-local meter totals, allocated
+/// once and reused across every batch of that GPU's epoch.
+struct BatchScratch {
+    sample: SampleScratch,
     features: Vec<f32>,
     totals: BatchTotals,
 }
 
-impl<'a, 'b> BatchStep<'a, 'b> {
+/// Everything one epoch shares across its trainer GPUs: the access
+/// engine, time and FLOP models, sampler, per-GPU stage recorders and
+/// the optional out-of-core tier. Building it resets the server's
+/// registry, so the report covers exactly this epoch.
+struct Epoch<'a> {
+    setup: &'a SystemSetup,
+    server: &'a MultiGpuServer,
+    graph: &'a CsrGraph,
+    batch_size: usize,
+    seed: u64,
+    engine: AccessEngine<'a>,
+    time_model: TimeModel,
+    sampler: KHopSampler,
+    flops_model: GnnModel,
+    /// One recorder per GPU, registered up front: GPUs that train
+    /// nothing (GNNLab's samplers) still report zero stage counters.
+    recorders: Vec<StageRecorder>,
+    store: Option<StorePlan<'a>>,
+}
+
+impl<'a> Epoch<'a> {
     fn new(
-        engine: &'a AccessEngine<'b>,
-        time_model: &'a TimeModel,
-        flops_model: &'a GnnModel,
-        server: &'a MultiGpuServer,
+        setup: &'a SystemSetup,
+        ctx: &'a BuildContext<'_>,
+        config: &LegionConfig,
+        model_kind: ModelKind,
+        store: Option<StorePlan<'a>>,
     ) -> Self {
-        Self {
-            engine,
-            time_model,
-            flops_model,
+        let server = ctx.server;
+        // Clear all metrics (PCM, traffic, cache, stage counters) so the
+        // snapshot covers exactly this epoch.
+        server.telemetry().reset();
+        let engine = AccessEngine::new(
+            &ctx.dataset.graph,
+            &ctx.dataset.features,
+            &setup.layout,
             server,
-            scratch: SampleScratch::new(),
-            features: Vec::new(),
-            totals: BatchTotals::new(server.num_gpus()),
+            setup.topology_placement,
+        );
+        let mut flops_rng = StdRng::seed_from_u64(config.seed);
+        let flops_model = GnnModel::new(
+            model_kind,
+            ctx.dataset.features.dim(),
+            config.hidden_dim,
+            FLOP_MODEL_CLASSES,
+            config.fanouts.len(),
+            &mut flops_rng,
+        );
+        Self {
+            setup,
+            server,
+            graph: &ctx.dataset.graph,
+            batch_size: ctx.batch_size,
+            seed: config.seed,
+            engine,
+            time_model: TimeModel::new(server.spec()),
+            sampler: KHopSampler::new(config.fanouts.clone()),
+            flops_model,
+            recorders: (0..server.num_gpus())
+                .map(|g| StageRecorder::for_gpu(server.telemetry(), g))
+                .collect(),
+            store,
         }
+    }
+
+    /// Runs every trainer GPU's batches one after another. The factored
+    /// schedule's round-robin cursor over dedicated samplers carries
+    /// across trainers.
+    fn run_sequential(&self) -> Vec<Vec<BatchCost>> {
+        let mut sampler_cursor = 0usize;
+        (0..self.server.num_gpus())
+            .map(|gpu| self.run_gpu(gpu, &mut sampler_cursor))
+            .collect()
+    }
+
+    /// One trainer GPU's epoch: shuffles its tablet into batches, stages
+    /// upcoming batches into the store, and runs each batch, returning
+    /// the per-batch pipeline costs.
+    fn run_gpu(&self, gpu: usize, sampler_cursor: &mut usize) -> Vec<BatchCost> {
+        let tablet = &self.setup.tablets[gpu];
+        if tablet.is_empty() {
+            return Vec::new();
+        }
+        let telemetry = self.server.telemetry();
+        let mut store = self.store.as_ref().map(|p| EpochStore::open(p, telemetry));
+        let mut rng = StdRng::seed_from_u64(self.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
+        // The epoch schedule is materialized up front so the prefetcher
+        // can look past the batch in flight — the offline analogue of
+        // the serving tier's queue lookahead.
+        let batches = BatchGenerator::new(tablet.clone(), self.batch_size)
+            .with_telemetry(telemetry, gpu)
+            .epoch(&mut rng);
+        let mut scratch = BatchScratch {
+            sample: SampleScratch::new(),
+            features: Vec::new(),
+            totals: BatchTotals::new(self.server.num_gpus()),
+        };
+        // Per-GPU serial clock: the store's device horizon needs a
+        // monotone notion of "now", and the per-GPU batch stream is
+        // serial regardless of the cross-stage overlap model.
+        let mut clock = 0.0f64;
+        let mut costs = Vec::with_capacity(batches.len());
+        for (i, batch) in batches.iter().enumerate() {
+            if let Some(es) = store.as_mut() {
+                for ahead in batches.iter().skip(i + 1).take(es.lookahead_batches) {
+                    es.prefetch_batch(self.graph, ahead, clock);
+                }
+            }
+            let sampling_gpu = match &self.setup.schedule {
+                ScheduleKind::Factored { samplers, .. } => {
+                    let g = samplers[*sampler_cursor % samplers.len()];
+                    *sampler_cursor += 1;
+                    g
+                }
+                _ => gpu,
+            };
+            let store_at = store.as_mut().map(|es| (es, clock));
+            let (sample_t, extract_t, train_t) =
+                self.run_batch(&mut scratch, gpu, sampling_gpu, batch, &mut rng, store_at);
+            clock += sample_t + extract_t + train_t;
+
+            // Stage times accrue to the trainer GPU's counters (for a
+            // factored schedule the sampling ran elsewhere, but the batch
+            // belongs to this trainer).
+            self.recorders[gpu].record(sample_t, extract_t, train_t);
+            costs.push(match self.setup.schedule {
+                ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
+                // Factored: samplers only sample; trainers extract + train
+                // (GNNLab's feature cache lives on the trainer GPUs).
+                ScheduleKind::Factored { .. } => BatchCost {
+                    prep: sample_t,
+                    train: extract_t + train_t,
+                },
+                _ => BatchCost::overlapped(sample_t, extract_t, train_t),
+            });
+        }
+        costs
     }
 
     /// Runs one mini-batch through sampling (charged to `sampling_gpu`),
@@ -305,74 +445,75 @@ impl<'a, 'b> BatchStep<'a, 'b> {
     /// When `store` carries an out-of-core tier (and the current epoch
     /// clock), the batch's HBM misses are resolved against it and any
     /// SSD stall is folded into the extraction time.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        sampler: &KHopSampler,
+    fn run_batch(
+        &self,
+        scratch: &mut BatchScratch,
         trainer_gpu: usize,
         sampling_gpu: usize,
-        batch: &[legion_graph::VertexId],
+        batch: &[VertexId],
         rng: &mut StdRng,
-        schedule: &ScheduleKind,
         store: Option<(&mut EpochStore, f64)>,
     ) -> (f64, f64, f64) {
+        let pcm = self.server.pcm();
         // Stage 1: neighbor sampling (charged to the sampling GPU).
-        let topo_before = self
-            .server
-            .pcm()
-            .gpu_kind(sampling_gpu, TrafficKind::Topology);
-        let sample = sampler.sample_batch_with(
-            self.engine,
+        let topo_before = pcm.gpu_kind(sampling_gpu, TrafficKind::Topology);
+        let sample = self.sampler.sample_batch_with(
+            &self.engine,
             sampling_gpu,
             batch,
             rng,
             None,
-            &mut self.scratch,
+            &mut scratch.sample,
         );
-        let topo_tx = self
-            .server
-            .pcm()
-            .gpu_kind(sampling_gpu, TrafficKind::Topology)
-            - topo_before;
+        let topo_tx = pcm.gpu_kind(sampling_gpu, TrafficKind::Topology) - topo_before;
         let edges = sample.total_edges() as u64;
-        let sample_t = match schedule {
+        let sample_t = match self.setup.schedule {
             ScheduleKind::CpuSampling => self.time_model.cpu_sample_seconds(edges),
             _ => self.time_model.sample_seconds(topo_tx, edges),
         };
         // Stage 2: feature extraction (charged to the trainer GPU).
-        let n = self.server.num_gpus();
-        let feat_before = self
-            .server
-            .pcm()
-            .gpu_kind(trainer_gpu, TrafficKind::Feature);
-        let peer_before: u64 = (0..n)
-            .map(|s| self.server.traffic().gpu_to_gpu(s, trainer_gpu))
-            .sum();
+        let peer_in = || -> u64 {
+            (0..self.server.num_gpus())
+                .map(|s| self.server.traffic().gpu_to_gpu(s, trainer_gpu))
+                .sum()
+        };
+        let feat_before = pcm.gpu_kind(trainer_gpu, TrafficKind::Feature);
+        let peer_before = peer_in();
         self.engine.read_features_batch(
             trainer_gpu,
             sample.input_vertices(),
-            &mut self.features,
-            &mut self.totals,
+            &mut scratch.features,
+            &mut scratch.totals,
         );
-        let feat_tx = self
-            .server
-            .pcm()
-            .gpu_kind(trainer_gpu, TrafficKind::Feature)
-            - feat_before;
-        let peer_after: u64 = (0..n)
-            .map(|s| self.server.traffic().gpu_to_gpu(s, trainer_gpu))
-            .sum();
+        let feat_tx = pcm.gpu_kind(trainer_gpu, TrafficKind::Feature) - feat_before;
         let mut extract_t = self
             .time_model
-            .extract_seconds(feat_tx, peer_after - peer_before);
+            .extract_seconds(feat_tx, peer_in() - peer_before);
         if let Some((es, at)) = store {
-            extract_t += es.charge(self.engine, trainer_gpu, sample.input_vertices(), at);
+            extract_t += es.charge(&self.engine, trainer_gpu, sample.input_vertices(), at);
         }
         // Stage 3: training.
         let train_t = self
             .time_model
             .train_seconds(self.flops_model.training_flops(&sample));
         (sample_t, extract_t, train_t)
+    }
+
+    /// Folds the per-GPU batch costs into the §5 epoch time and derives
+    /// the report from the registry snapshot.
+    fn finish(&self, per_gpu_costs: &[Vec<BatchCost>]) -> EpochReport {
+        let slowest = |time: fn(&[BatchCost]) -> f64| {
+            per_gpu_costs.iter().map(|c| time(c)).fold(0.0, f64::max)
+        };
+        let epoch_seconds = match &self.setup.schedule {
+            ScheduleKind::Pipelined | ScheduleKind::CpuSampling => slowest(epoch_time_pipelined),
+            ScheduleKind::Serial => slowest(epoch_time_serial),
+            ScheduleKind::Factored { samplers, trainers } => {
+                let all: Vec<BatchCost> = per_gpu_costs.iter().flatten().copied().collect();
+                epoch_time_factored(&all, samplers.len(), trainers.len())
+            }
+        };
+        finalize_report(self.setup.name.clone(), self.server, epoch_seconds)
     }
 }
 
@@ -397,101 +538,8 @@ pub fn run_epoch_with_model(
     config: &LegionConfig,
     model_kind: ModelKind,
 ) -> EpochReport {
-    let server = ctx.server;
-    // Clear all metrics (PCM, traffic, cache, stage counters) so the
-    // snapshot covers exactly this epoch.
-    server.telemetry().reset();
-    let time_model = TimeModel::new(server.spec());
-    let engine = AccessEngine::new(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        &setup.layout,
-        server,
-        setup.topology_placement,
-    );
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    // A throwaway model instance supplies the FLOP counts; its weights
-    // are never updated here.
-    let mut flops_rng = StdRng::seed_from_u64(config.seed);
-    let num_classes = 16usize;
-    let flops_model = GnnModel::new(
-        model_kind,
-        ctx.dataset.features.dim(),
-        config.hidden_dim,
-        num_classes,
-        config.fanouts.len(),
-        &mut flops_rng,
-    );
-
-    let n = server.num_gpus();
-    let recorders: Vec<StageRecorder> = (0..n)
-        .map(|g| StageRecorder::for_gpu(server.telemetry(), g))
-        .collect();
-    let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
-
-    // Round-robin cursor over dedicated samplers (factored design).
-    let mut sampler_cursor = 0usize;
-    let mut step = BatchStep::new(&engine, &time_model, &flops_model, server);
-    for gpu in 0..n {
-        if setup.tablets[gpu].is_empty() {
-            continue;
-        }
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
-        let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
-            .with_telemetry(server.telemetry(), gpu);
-        for batch in generator.epoch(&mut rng) {
-            let sampling_gpu = match &setup.schedule {
-                ScheduleKind::Factored { samplers, .. } => {
-                    let g = samplers[sampler_cursor % samplers.len()];
-                    sampler_cursor += 1;
-                    g
-                }
-                _ => gpu,
-            };
-            let (sample_t, extract_t, train_t) = step.run(
-                &sampler,
-                gpu,
-                sampling_gpu,
-                &batch,
-                &mut rng,
-                &setup.schedule,
-                None,
-            );
-
-            // Stage times accrue to the trainer GPU's counters (for a
-            // factored schedule the sampling ran elsewhere, but the batch
-            // belongs to this trainer).
-            recorders[gpu].record(sample_t, extract_t, train_t);
-            let cost = match setup.schedule {
-                ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-                // Factored: samplers only sample; trainers extract + train
-                // (GNNLab's feature cache lives on the trainer GPUs).
-                ScheduleKind::Factored { .. } => BatchCost {
-                    prep: sample_t,
-                    train: extract_t + train_t,
-                },
-                _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-            };
-            per_gpu_costs[gpu].push(cost);
-        }
-    }
-
-    let epoch_seconds = match &setup.schedule {
-        ScheduleKind::Pipelined | ScheduleKind::CpuSampling => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_pipelined(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Serial => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_serial(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Factored { samplers, trainers } => {
-            let all: Vec<BatchCost> = per_gpu_costs.iter().flatten().copied().collect();
-            epoch_time_factored(&all, samplers.len(), trainers.len())
-        }
-    };
-
-    finalize_report(setup.name.clone(), server, epoch_seconds)
+    let epoch = Epoch::new(setup, ctx, config, model_kind, None);
+    epoch.finish(&epoch.run_sequential())
 }
 
 /// [`run_epoch_with_model`] with an out-of-core feature tier: host DRAM
@@ -518,8 +566,9 @@ pub fn run_epoch_with_store(
     let dram_rows =
         (store_cfg.dram_budget_bytes / row_bytes.max(1)).min(num_vertices as u64) as usize;
     if dram_rows >= num_vertices {
-        // Nothing spills: the store would never see a request, so the
-        // legacy runner's timeline is reproduced exactly.
+        // Nothing spills: the store would never see a request (nor
+        // register its meters), so the plain runner's timeline is
+        // reproduced exactly.
         return run_epoch_with_model(setup, ctx, config, model_kind);
     }
     // Host-DRAM fill by degree: sampled neighborhoods concentrate on
@@ -527,130 +576,16 @@ pub fn run_epoch_with_store(
     // ranks by), so the head stays resident and the long tail spills.
     // The sort is stable, keeping the placement deterministic across
     // runs for equal-degree rows.
-    let mut order: Vec<legion_graph::VertexId> =
-        (0..num_vertices as legion_graph::VertexId).collect();
+    let mut order: Vec<VertexId> = (0..num_vertices as VertexId).collect();
     order.sort_by_key(|&v| std::cmp::Reverse(graph.neighbors(v).len()));
-    let ssd_rows = &order[dram_rows..];
-
-    let server = ctx.server;
-    server.telemetry().reset();
-    let registry = server.telemetry();
-    let time_model = TimeModel::new(server.spec());
-    let engine = AccessEngine::new(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        &setup.layout,
-        server,
-        setup.topology_placement,
-    );
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let mut flops_rng = StdRng::seed_from_u64(config.seed);
-    let num_classes = 16usize;
-    let flops_model = GnnModel::new(
-        model_kind,
-        ctx.dataset.features.dim(),
-        config.hidden_dim,
-        num_classes,
-        config.fanouts.len(),
-        &mut flops_rng,
-    );
-
-    let n = server.num_gpus();
-    let recorders: Vec<StageRecorder> = (0..n)
-        .map(|g| StageRecorder::for_gpu(server.telemetry(), g))
-        .collect();
-    let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
-
-    let mut sampler_cursor = 0usize;
-    let mut step = BatchStep::new(&engine, &time_model, &flops_model, server);
-    for gpu in 0..n {
-        if setup.tablets[gpu].is_empty() {
-            continue;
-        }
-        // Each trainer owns a NUMA-local store over the shared tier
-        // assignment; the warm fill happens before the measured epoch,
-        // mirroring the HBM cache's warmup pass.
-        let nvme = NvmeModel::new(store_cfg.nvme);
-        let mut store = VertexStore::new(nvme, num_vertices, row_bytes, store_cfg.staging_rows);
-        for &v in ssd_rows {
-            store.assign(v, Tier::Ssd);
-        }
-        store.warm(ssd_rows.iter().copied());
-        let mut es = EpochStore {
-            store,
-            prefetch_neighbors: store_cfg.prefetch_neighbors,
-            prefetch_budget: store_cfg.prefetch_budget,
-            prefetch_hits: registry.counter("epoch.store.prefetch_hits"),
-            late_stalls: registry.counter("epoch.store.late_stalls"),
-            cold_reads: registry.counter("epoch.store.cold_reads"),
-            nvme_bytes: registry.counter("store.nvme.bytes"),
-            missed: Vec::new(),
-            candidates: Vec::new(),
-        };
-
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
-        let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
-            .with_telemetry(server.telemetry(), gpu);
-        // The epoch schedule is materialized up front so the prefetcher
-        // can look past the batch in flight — the offline analogue of
-        // the serving tier's queue lookahead.
-        let batches = generator.epoch(&mut rng);
-        // Per-GPU serial clock: the store's device horizon needs a
-        // monotone notion of "now", and the per-GPU batch stream is
-        // serial regardless of the cross-stage overlap model.
-        let mut clock = 0.0f64;
-        for (i, batch) in batches.iter().enumerate() {
-            for ahead in batches.iter().skip(i + 1).take(store_cfg.lookahead_batches) {
-                es.prefetch_batch(graph, ahead, clock);
-            }
-            let sampling_gpu = match &setup.schedule {
-                ScheduleKind::Factored { samplers, .. } => {
-                    let g = samplers[sampler_cursor % samplers.len()];
-                    sampler_cursor += 1;
-                    g
-                }
-                _ => gpu,
-            };
-            let (sample_t, extract_t, train_t) = step.run(
-                &sampler,
-                gpu,
-                sampling_gpu,
-                batch,
-                &mut rng,
-                &setup.schedule,
-                Some((&mut es, clock)),
-            );
-            clock += sample_t + extract_t + train_t;
-
-            recorders[gpu].record(sample_t, extract_t, train_t);
-            let cost = match setup.schedule {
-                ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-                ScheduleKind::Factored { .. } => BatchCost {
-                    prep: sample_t,
-                    train: extract_t + train_t,
-                },
-                _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-            };
-            per_gpu_costs[gpu].push(cost);
-        }
-    }
-
-    let epoch_seconds = match &setup.schedule {
-        ScheduleKind::Pipelined | ScheduleKind::CpuSampling => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_pipelined(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Serial => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_serial(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Factored { samplers, trainers } => {
-            let all: Vec<BatchCost> = per_gpu_costs.iter().flatten().copied().collect();
-            epoch_time_factored(&all, samplers.len(), trainers.len())
-        }
+    let plan = StorePlan {
+        cfg: store_cfg,
+        ssd_rows: &order[dram_rows..],
+        num_vertices,
+        row_bytes,
     };
-
-    finalize_report(setup.name.clone(), server, epoch_seconds)
+    let epoch = Epoch::new(setup, ctx, config, model_kind, Some(plan));
+    epoch.finish(&epoch.run_sequential())
 }
 
 /// Multi-threaded variant of [`run_epoch_with_model`]: one host thread
@@ -675,64 +610,12 @@ pub fn run_epoch_parallel(
         !matches!(setup.schedule, ScheduleKind::Factored { .. }),
         "parallel runner does not support factored schedules"
     );
-    let server = ctx.server;
-    server.telemetry().reset();
-    let time_model = TimeModel::new(server.spec());
-    let engine = AccessEngine::new(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        &setup.layout,
-        server,
-        setup.topology_placement,
-    );
-    let mut flops_rng = StdRng::seed_from_u64(config.seed);
-    let flops_model = GnnModel::new(
-        model_kind,
-        ctx.dataset.features.dim(),
-        config.hidden_dim,
-        16,
-        config.fanouts.len(),
-        &mut flops_rng,
-    );
-    let n = server.num_gpus();
-
-    struct GpuResult {
-        gpu: usize,
-        costs: Vec<BatchCost>,
-    }
-
-    let results: Vec<GpuResult> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .filter(|&gpu| !setup.tablets[gpu].is_empty())
+    let epoch = Epoch::new(setup, ctx, config, model_kind, None);
+    let per_gpu_costs: Vec<Vec<BatchCost>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..ctx.server.num_gpus())
             .map(|gpu| {
-                let engine = &engine;
-                let time_model = &time_model;
-                let flops_model = &flops_model;
-                let tablet = setup.tablets[gpu].clone();
-                let schedule = setup.schedule.clone();
-                scope.spawn(move |_| {
-                    let sampler = KHopSampler::new(config.fanouts.clone());
-                    let recorder = StageRecorder::for_gpu(server.telemetry(), gpu);
-                    let mut rng =
-                        StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
-                    let mut generator = BatchGenerator::new(tablet, ctx.batch_size)
-                        .with_telemetry(server.telemetry(), gpu);
-                    let mut step = BatchStep::new(engine, time_model, flops_model, server);
-                    let mut result = GpuResult {
-                        gpu,
-                        costs: Vec::new(),
-                    };
-                    for batch in generator.epoch(&mut rng) {
-                        let (sample_t, extract_t, train_t) =
-                            step.run(&sampler, gpu, gpu, &batch, &mut rng, &schedule, None);
-                        recorder.record(sample_t, extract_t, train_t);
-                        result.costs.push(match schedule {
-                            ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-                            _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-                        });
-                    }
-                    result
-                })
+                let epoch = &epoch;
+                scope.spawn(move |_| epoch.run_gpu(gpu, &mut 0))
             })
             .collect();
         handles
@@ -741,22 +624,7 @@ pub fn run_epoch_parallel(
             .collect()
     })
     .expect("epoch scope");
-
-    let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
-    for r in results {
-        per_gpu_costs[r.gpu] = r.costs;
-    }
-    let epoch_seconds = match setup.schedule {
-        ScheduleKind::Serial => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_serial(c))
-            .fold(0.0, f64::max),
-        _ => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_pipelined(c))
-            .fold(0.0, f64::max),
-    };
-    finalize_report(setup.name.clone(), server, epoch_seconds)
+    epoch.finish(&per_gpu_costs)
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ use rand::{Rng, SeedableRng};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{NetGeneration, NetModel, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
-use legion_router::Dispatcher;
+use legion_router::{Dispatcher, PROBE_NEIGHBORS, SPILL_THRESHOLD};
 use legion_serve::{
     adaptive_replicated_rows, estimate_capacity_rps, generate_requests, latency_buckets,
     serve_requests, warmup_hot_vertices_weighted, CoalesceConfig, MutationOp, MutationSource,
@@ -90,6 +90,10 @@ const RANDOM_ROUTE_SALT: u64 = 0xf1ee_7a11_0c8e_55aa;
 /// op tag plus two vertex ids (the timestamp rides in the message
 /// header the [`NetModel`] overhead already accounts for).
 const MUTATION_NOTIFY_PAYLOAD_BYTES: u64 = 12;
+
+/// Batches a fetched remote row stays deduplicable in a coalescing
+/// server's staging window ([`FleetConfig::coalesce`]).
+pub const COALESCE_WINDOW_BATCHES: u64 = 4;
 
 /// How the front tier picks a server for each request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,16 +129,6 @@ pub struct FleetConfig {
     pub net: NetModel,
     /// Front-tier routing policy.
     pub policy: FleetPolicy,
-    /// Leading neighbors of each target added to the routing probe
-    /// (mirrors [`legion_serve::RouterConfig`]'s probe).
-    pub probe_neighbors: usize,
-    /// Fraction of a server's total queue capacity
-    /// (`queue_capacity * num_gpus`) at which the front tier spills to
-    /// the least-loaded server.
-    pub spill_threshold: f64,
-    /// Fixed replicated-head size; `None` (the default) sizes it
-    /// adaptively from the warmup hotness curve.
-    pub replicate_rows: Option<usize>,
     /// Per-server drain rate the projected-load model assumes,
     /// requests/s; `None` measures it with
     /// [`legion_serve::estimate_capacity_rps`] on one probe server.
@@ -146,14 +140,11 @@ pub struct FleetConfig {
     /// byte-identical to the pre-contention fleet.
     pub uplink: Option<UplinkConfig>,
     /// Per-owner coalescing of each server's remote waves: dedupe
-    /// within the staging window, bucket misses by owning shard, one
-    /// batched message per owner per batch. `false` (the default)
-    /// keeps the flat per-row pool, byte-identical to the
-    /// pre-coalescing fleet.
+    /// within a [`COALESCE_WINDOW_BATCHES`]-batch staging window,
+    /// bucket misses by owning shard, one batched message per owner
+    /// per batch. `false` (the default) keeps the flat per-row pool,
+    /// byte-identical to the pre-coalescing fleet.
     pub coalesce: bool,
-    /// Batches a fetched remote row stays deduplicable in the
-    /// coalescing staging window (ignored unless `coalesce`).
-    pub coalesce_window: u64,
     /// Drift-driven replica resizing: feed the front tier's routed
     /// probes into a [`legion_serve::WindowEstimator`], and when the
     /// windowed hot set drifts away from the replicated head
@@ -172,13 +163,9 @@ impl Default for FleetConfig {
             num_servers: 2,
             net: NetModel::rdma(NetGeneration::Eth400G),
             policy: FleetPolicy::Residency,
-            probe_neighbors: 8,
-            spill_threshold: 0.75,
-            replicate_rows: None,
             drain_rps: None,
             uplink: None,
             coalesce: false,
-            coalesce_window: 4,
             resize_on_drift: false,
         }
     }
@@ -193,10 +180,6 @@ impl FleetConfig {
     /// invariant.
     pub fn validate(&self) {
         assert!(self.num_servers > 0, "num_servers must be positive");
-        assert!(
-            self.spill_threshold > 0.0 && self.spill_threshold <= 1.0,
-            "spill_threshold must be in (0, 1]"
-        );
         if let Some(d) = self.drain_rps {
             assert!(d > 0.0, "drain_rps must be positive");
         }
@@ -233,8 +216,7 @@ pub struct FleetPlan {
 
 /// Shards the graph across `fleet.num_servers` servers with the LDG
 /// edge-cut partitioner and replicates the warmup-hot head to every
-/// server, sized by the adaptive marginal-gain rule (or the fixed
-/// [`FleetConfig::replicate_rows`] override). Deterministic: the
+/// server, sized by the adaptive marginal-gain rule. Deterministic: the
 /// partitioner is RNG-free and the hotness curve derives from
 /// `base.seed`.
 pub fn plan_fleet(graph: &CsrGraph, base: &ServeConfig, fleet: &FleetConfig) -> FleetPlan {
@@ -265,10 +247,7 @@ pub fn plan_fleet(graph: &CsrGraph, base: &ServeConfig, fleet: &FleetConfig) -> 
         // same size, which is exactly the trade the adaptive rule
         // prices (`G` = servers instead of cliques).
         let budget = shard_sizes.iter().copied().max().unwrap_or(0);
-        let rows = fleet
-            .replicate_rows
-            .unwrap_or_else(|| adaptive_replicated_rows(&hot, &weight, budget, n))
-            .min(hot.len());
+        let rows = adaptive_replicated_rows(&hot, &weight, budget, n).min(hot.len());
         hot.into_iter().take(rows).collect()
     } else {
         Vec::new()
@@ -611,7 +590,7 @@ pub fn serve_fleet(
     // because the fleet router cannot see inside remote machines'
     // queues, only its own bookkeeping.
     let server_backlog = base.queue_capacity * spec.num_gpus;
-    let spill_len = (fleet.spill_threshold * server_backlog as f64).ceil() as usize;
+    let spill_len = (SPILL_THRESHOLD * server_backlog as f64).ceil() as usize;
     let groups: Vec<Vec<usize>> = (0..n).map(|s| vec![s]).collect();
     let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
     // Ownership bitmaps start as the plan's; drift-driven resizing
@@ -650,14 +629,7 @@ pub fn serve_fleet(
     let mut random_rng = StdRng::seed_from_u64(base.seed ^ RANDOM_ROUTE_SALT);
     for r in &requests {
         probe.clear();
-        probe.push(r.target);
-        probe.extend(
-            graph
-                .neighbors(r.target)
-                .iter()
-                .take(fleet.probe_neighbors)
-                .copied(),
-        );
+        graph.extend_probe(r.target, PROBE_NEIGHBORS, &mut probe);
         let s = match fleet.policy {
             FleetPolicy::Residency => {
                 let could_drain = (r.arrival * drain) as u64;
@@ -706,7 +678,7 @@ pub fn serve_fleet(
                 coalesce: shard_arc.as_ref().map(|shard| CoalesceConfig {
                     shard: Arc::clone(shard),
                     num_servers: n,
-                    window_batches: fleet.coalesce_window,
+                    window_batches: COALESCE_WINDOW_BATCHES,
                 }),
                 concurrent_servers: n,
             });

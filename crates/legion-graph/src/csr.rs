@@ -152,6 +152,19 @@ impl CsrGraph {
         &self.col_indices[lo..hi]
     }
 
+    /// Appends `v` and its first `k` out-neighbors to `out`, without
+    /// clearing it: the probe set a residency router scores and a
+    /// prefetcher stages, so both agree on which rows a request needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= num_vertices`.
+    #[inline]
+    pub fn extend_probe(&self, v: VertexId, k: usize, out: &mut Vec<VertexId>) {
+        out.push(v);
+        out.extend(self.neighbors(v).iter().take(k).copied());
+    }
+
     /// The raw row offset array (`num_vertices + 1` entries).
     #[inline]
     pub fn row_offsets(&self) -> &[EdgeIndex] {

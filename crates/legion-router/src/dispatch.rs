@@ -41,41 +41,28 @@ impl RouterPolicy {
     }
 }
 
+/// Neighbors of a request's target probed for the coverage score (the
+/// target itself is always probed). The machine router, the capacity
+/// probe, the fleet's front tier and the serving prefetchers all score
+/// or stage this same set.
+pub const PROBE_NEIGHBORS: usize = 8;
+
+/// Fraction of queue capacity at which a route group counts as
+/// saturated and requests spill to the least-loaded GPU (or server).
+pub const SPILL_THRESHOLD: f64 = 0.75;
+
 /// Front-end routing knobs of a serving run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Which dispatcher the serving front end runs.
     pub policy: RouterPolicy,
-    /// Neighbors of the target probed for the coverage score (the
-    /// target itself is always probed).
-    pub probe_neighbors: usize,
-    /// Fraction of per-GPU queue capacity at which a clique counts as
-    /// saturated and requests spill, in `(0, 1]`.
-    pub spill_threshold: f64,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             policy: RouterPolicy::RoundRobin,
-            probe_neighbors: 8,
-            spill_threshold: 0.75,
         }
-    }
-}
-
-impl RouterConfig {
-    /// Checks the invariants the dispatcher relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message on the first violated
-    /// invariant.
-    pub fn validate(&self) {
-        assert!(
-            self.spill_threshold > 0.0 && self.spill_threshold <= 1.0,
-            "spill_threshold must be in (0, 1]"
-        );
     }
 }
 

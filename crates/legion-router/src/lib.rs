@@ -45,7 +45,9 @@ pub mod residency;
 pub mod steal;
 
 pub use class::{PriorityClass, QueuedRequest, CLASS_COUNT};
-pub use dispatch::{Dispatcher, RouteDecision, RouterConfig, RouterPolicy};
+pub use dispatch::{
+    Dispatcher, RouteDecision, RouterConfig, RouterPolicy, PROBE_NEIGHBORS, SPILL_THRESHOLD,
+};
 pub use qos::{Admission, ClassedQueue};
 pub use residency::ResidencyIndex;
 pub use steal::SpillPool;

@@ -2,7 +2,7 @@
 //!
 //! With the event loop sharded one-shard-per-clique, a request that the
 //! [`Dispatcher`](crate::Dispatcher) would spill (its best clique's
-//! queues are past `spill_threshold`) can no longer be handed straight
+//! queues are past [`SPILL_THRESHOLD`](crate::SPILL_THRESHOLD)) can no longer be handed straight
 //! to the globally least-loaded GPU — that GPU belongs to another
 //! shard's thread. Instead the coordinator parks spills in a
 //! [`SpillPool`] and drains it at the next quantum boundary, assigning

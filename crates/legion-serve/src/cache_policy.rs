@@ -60,20 +60,10 @@ impl PolicyKind {
 /// neighbors per frontier vertex at hop `h` — but runs directly on the
 /// CPU-resident graph: warmup profiling is an offline planning step and
 /// must not charge the simulated server's traffic counters.
-pub fn warmup_hot_vertices(
-    graph: &CsrGraph,
-    targets: &mut TargetSampler,
-    warmup_requests: usize,
-    fanouts: &[usize],
-    seed: u64,
-) -> Vec<VertexId> {
-    warmup_hot_vertices_weighted(graph, targets, warmup_requests, fanouts, seed).0
-}
-
-/// Like [`warmup_hot_vertices`] but also returns the raw per-vertex
-/// touch counts the ranking was derived from — the hotness weights the
-/// adaptive replication rule compares replicas against displaced
-/// partitioned rows with.
+///
+/// Also returns the raw per-vertex touch counts the ranking was derived
+/// from — the hotness weights the adaptive replication rule compares
+/// replicas against displaced partitioned rows with.
 pub fn warmup_hot_vertices_weighted(
     graph: &CsrGraph,
     targets: &mut TargetSampler,
@@ -306,7 +296,7 @@ mod tests {
         // Skewed targets over the non-hub vertices: all of them sample
         // the hub as a neighbor.
         let mut targets = TargetSampler::new((1..32).collect(), 1.0, 0, 0);
-        let ranked = warmup_hot_vertices(&g, &mut targets, 200, &[2], 7);
+        let ranked = warmup_hot_vertices_weighted(&g, &mut targets, 200, &[2], 7).0;
         assert_eq!(ranked.len(), 32);
         assert_eq!(ranked[0], 0, "hub must be hottest");
     }
@@ -316,7 +306,7 @@ mod tests {
         let g = chain_with_hub();
         let run = || {
             let mut t = TargetSampler::new((1..32).collect(), 1.1, 16, 3);
-            warmup_hot_vertices(&g, &mut t, 100, &[2, 2], 11)
+            warmup_hot_vertices_weighted(&g, &mut t, 100, &[2, 2], 11).0
         };
         assert_eq!(run(), run());
     }
@@ -327,7 +317,7 @@ mod tests {
         let f = FeatureTable::zeros(32, 8);
         let server = ServerSpec::custom(2, 1 << 20, 1).build();
         let mut targets = TargetSampler::new((1..32).collect(), 1.0, 0, 0);
-        let hot = warmup_hot_vertices(&g, &mut targets, 100, &[2], 3);
+        let hot = warmup_hot_vertices_weighted(&g, &mut targets, 100, &[2], 3).0;
         let layout = build_static_layout(&g, &f, &server, &hot, 4);
         for gpu in 0..2 {
             let (cache, slot) = layout.for_gpu(gpu).expect("gpu has a cache");

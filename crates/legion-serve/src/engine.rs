@@ -63,6 +63,7 @@ use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
 use legion_pipeline::{QueueDepthMeter, StageRecorder, TimeModel};
 use legion_router::{
     Admission, ClassedQueue, Dispatcher, PriorityClass, RouteDecision, RouterPolicy, CLASS_COUNT,
+    PROBE_NEIGHBORS, SPILL_THRESHOLD,
 };
 use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
@@ -386,14 +387,7 @@ impl StoreWorker {
         }
         self.candidates.clear();
         for r in queue.peek_upto(self.lookahead) {
-            self.candidates.push(r.target);
-            self.candidates.extend(
-                graph
-                    .neighbors(r.target)
-                    .iter()
-                    .take(self.prefetch_neighbors)
-                    .copied(),
-            );
+            graph.extend_probe(r.target, self.prefetch_neighbors, &mut self.candidates);
         }
         if self.candidates.is_empty() {
             return;
@@ -412,14 +406,7 @@ impl StoreWorker {
             return;
         }
         self.candidates.clear();
-        self.candidates.push(target);
-        self.candidates.extend(
-            graph
-                .neighbors(target)
-                .iter()
-                .take(self.prefetch_neighbors)
-                .copied(),
-        );
+        graph.extend_probe(target, self.prefetch_neighbors, &mut self.candidates);
         self.issue_prefetch(at);
     }
 
@@ -1028,7 +1015,6 @@ pub(crate) struct RouterState {
     pub(crate) routed: Vec<Counter>,
     pub(crate) spilled: Vec<Counter>,
     pub(crate) shed: Vec<Counter>,
-    probe_neighbors: usize,
     covered: u64,
     probed: u64,
     probe: Vec<VertexId>,
@@ -1036,7 +1022,7 @@ pub(crate) struct RouterState {
 }
 
 impl RouterState {
-    fn new(registry: &Arc<Registry>, dispatcher: Dispatcher, probe_neighbors: usize) -> Self {
+    fn new(registry: &Arc<Registry>, dispatcher: Dispatcher) -> Self {
         let per_group = |suffix: &str| -> Vec<Counter> {
             (0..dispatcher.num_groups())
                 .map(|q| registry.counter(&format!("serve.route.clique{q}.{suffix}")))
@@ -1047,7 +1033,6 @@ impl RouterState {
             spilled: per_group("spilled"),
             shed: per_group("shed"),
             dispatcher,
-            probe_neighbors,
             covered: 0,
             probed: 0,
             probe: Vec::new(),
@@ -1067,14 +1052,7 @@ impl RouterState {
         r: &Request,
     ) -> RouteDecision {
         self.probe.clear();
-        self.probe.push(r.target);
-        self.probe.extend(
-            graph
-                .neighbors(r.target)
-                .iter()
-                .take(self.probe_neighbors)
-                .copied(),
-        );
+        graph.extend_probe(r.target, PROBE_NEIGHBORS, &mut self.probe);
         let dec = self.dispatcher.route(&self.probe, queue_lens);
         self.covered += self.dispatcher.score(dec.group, &self.probe) as u64;
         self.probed += self.probe.len() as u64;
@@ -1747,8 +1725,7 @@ pub fn serve_requests(
     // LDG partition (§4.1 ownership); Replan runs per-GPU groups seeded
     // from each worker's initial plan and refreshed on every commit.
     let mut router = residency.then(|| {
-        let spill_len =
-            (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
+        let spill_len = (SPILL_THRESHOLD * config.queue_capacity as f64).ceil() as usize;
         let dispatcher = match config.policy {
             PolicyKind::StaticHot => {
                 let groups = static_groups.take().expect("partitioned layout built");
@@ -1777,7 +1754,7 @@ pub fn serve_requests(
                 dispatcher
             }
         };
-        RouterState::new(registry, dispatcher, config.router.probe_neighbors)
+        RouterState::new(registry, dispatcher)
     });
 
     // Event-loop dispatch: the sequential global loop at `shards <= 1`
@@ -1906,7 +1883,7 @@ mod tests {
     use super::*;
     use crate::replan::{DriftDetector, ReplanConfig};
     use crate::workload::ArrivalProcess;
-    use crate::{ChurnConfig, ClassConfig, MutationSource, RouterConfig};
+    use crate::{ChurnConfig, ClassConfig, MutationSource};
     use legion_graph::GraphBuilder;
     use legion_hw::ServerSpec;
 
@@ -2183,10 +2160,7 @@ mod tests {
         let (g, f) = tiny_graph();
         let server = ServerSpec::custom(4, 1 << 30, 2).build();
         let mut config = tiny_config(PolicyKind::StaticHot);
-        config.router = RouterConfig {
-            policy: RouterPolicy::Residency,
-            ..RouterConfig::default()
-        };
+        config.router.policy = RouterPolicy::Residency;
         let report = serve(&g, &f, &server, &config);
         assert_eq!(report.routed + report.spilled, report.offered);
         assert!(report.route_locality > 0.0 && report.route_locality <= 1.0);
@@ -2393,10 +2367,7 @@ mod tests {
                     let mut config = tiny_config(policy);
                     assert!(config.mutations.is_none(), "churn must default off");
                     if residency {
-                        config.router = RouterConfig {
-                            policy: RouterPolicy::Residency,
-                            ..RouterConfig::default()
-                        };
+                        config.router.policy = RouterPolicy::Residency;
                     }
                     serve(&g, &f, &server, &config)
                 };
@@ -2429,10 +2400,7 @@ mod tests {
         };
         let mut config = tiny_config(PolicyKind::StaticHot);
         config.num_requests = 400;
-        config.router = RouterConfig {
-            policy: RouterPolicy::Residency,
-            ..RouterConfig::default()
-        };
+        config.router.policy = RouterPolicy::Residency;
         config.mutations = Some(MutationSource::Generate(churn.clone()));
         let run = |cfg: &ServeConfig| {
             let server = ServerSpec::custom(2, 1 << 30, 1).build();

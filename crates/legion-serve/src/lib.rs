@@ -117,7 +117,7 @@ pub mod workload;
 
 pub use batcher::BatchPolicy;
 pub use cache_policy::{
-    adaptive_replicated_rows, build_partitioned_layout, build_static_layout, warmup_hot_vertices,
+    adaptive_replicated_rows, build_partitioned_layout, build_static_layout,
     warmup_hot_vertices_weighted, PolicyKind,
 };
 pub use engine::{serve, serve_requests, ServeReport};
@@ -478,7 +478,6 @@ impl ServeConfig {
             );
         }
         self.replan.validate();
-        self.router.validate();
         self.classes.validate();
         self.store.validate();
     }

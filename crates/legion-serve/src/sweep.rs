@@ -15,7 +15,7 @@ use serde::Serialize;
 
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::MultiGpuServer;
-use legion_router::{RouterPolicy, CLASS_COUNT};
+use legion_router::{RouterPolicy, CLASS_COUNT, PROBE_NEIGHBORS};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 
 use crate::engine::{ldg_clique_dispatcher, serve, Lane, Operators};
@@ -199,14 +199,7 @@ pub fn estimate_capacity_rps(
             let target = targets.next_for_class(class, &mut rng);
             let gpu = dispatcher.as_ref().map_or(0, |d| {
                 probe.clear();
-                probe.push(target);
-                probe.extend(
-                    graph
-                        .neighbors(target)
-                        .iter()
-                        .take(config.router.probe_neighbors)
-                        .copied(),
-                );
+                graph.extend_probe(target, PROBE_NEIGHBORS, &mut probe);
                 let gpu = d.route(&probe, &lens).gpu;
                 lens[gpu] += 1;
                 gpu

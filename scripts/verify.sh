@@ -56,6 +56,9 @@ cargo test -q -p legion-core --test determinism
 echo "==> serving golden matrix (snapshot digests + capacity-probe bits)"
 cargo test -q -p legion-serve --test serve_golden
 
+echo "==> epoch golden matrix (snapshot digests + epoch-time bits of every setup through every epoch runner)"
+cargo test -q -p legion-core --test epoch_golden
+
 echo "==> perfbench build (the benchmark harness compiles against the public API)"
 CARGO_TARGET_DIR=.bench_build cargo build --offline --release --manifest-path perfbench/Cargo.toml
 

@@ -73,7 +73,6 @@ fn router_config(policy: PolicyKind) -> ServeConfig {
     ServeConfig {
         router: RouterConfig {
             policy: RouterPolicy::Residency,
-            ..RouterConfig::default()
         },
         classes: ClassConfig {
             mix: [0.2, 0.5, 0.3],
